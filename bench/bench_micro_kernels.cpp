@@ -196,6 +196,30 @@ BENCHMARK(BM_FirstLayerCombination)
     ->ArgsProduct({{10, 100}, {0, 1}, {1, 4}});
 
 void
+BM_DenseTransposeCombination(benchmark::State &state)
+{
+    // Backward-pass dW0 = X^T * dU with dense features at the Pubmed
+    // surrogate's shape (19717 x 500 at 10% density, 16 hidden
+    // channels), the gemm_at_b kernel the training epoch runs.
+    // range(0) = threads.
+    RssScope rss(state);
+    setGlobalThreads(static_cast<int>(state.range(0)));
+    Rng rng(3);
+    DenseMatrix x(19717, 500);
+    const size_t nnz = x.fillRandomSparse(rng, 0.1);
+    DenseMatrix du(19717, 16);
+    du.fillRandom(rng);
+    for (auto _ : state) {
+        DenseMatrix c = gemmTransposeA(x, du);
+        benchmark::DoNotOptimize(c.data().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(nnz) * 16);
+    setGlobalThreads(0);
+}
+BENCHMARK(BM_DenseTransposeCombination)->Arg(1)->Arg(4);
+
+void
 BM_SparseTransposeTimesDense(benchmark::State &state)
 {
     // Backward-pass X^T * dU for CSR features, steady-state (the CSC

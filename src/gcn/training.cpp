@@ -9,59 +9,6 @@ namespace igcn {
 
 namespace {
 
-/** C = A^T * B for dense A (rows x k), B (rows x n). */
-DenseMatrix
-gemmTransposeA(const DenseMatrix &a, const DenseMatrix &b)
-{
-    if (a.rows() != b.rows())
-        throw std::invalid_argument("shape mismatch in gemmTransposeA");
-    DenseMatrix c(a.cols(), b.cols());
-    KernelRegion region("gemm_at_b");
-    // Workers own disjoint column ranges of A, i.e. disjoint row
-    // ranges of C; every output row accumulates over r in ascending
-    // order, matching the sequential result bit-for-bit.
-    globalPool().parallelFor(0, a.cols(),
-                             [&](int, size_t i0, size_t i1) {
-        for (size_t r = 0; r < a.rows(); ++r) {
-            const float *arow = a.row(r);
-            const float *brow = b.row(r);
-            for (size_t i = i0; i < i1; ++i) {
-                const float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                float *crow = c.row(i);
-                for (size_t j = 0; j < b.cols(); ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    }, /*min_per_worker=*/4);
-    return c;
-}
-
-/** C = A * B^T for dense A (m x n), B (k x n). */
-DenseMatrix
-gemmTransposeB(const DenseMatrix &a, const DenseMatrix &b)
-{
-    if (a.cols() != b.cols())
-        throw std::invalid_argument("shape mismatch in gemmTransposeB");
-    DenseMatrix c(a.rows(), b.rows());
-    KernelRegion region("gemm_a_bt");
-    globalPool().parallelFor(0, a.rows(),
-                             [&](int, size_t r0, size_t r1) {
-        for (size_t i = r0; i < r1; ++i) {
-            const float *arow = a.row(i);
-            for (size_t j = 0; j < b.rows(); ++j) {
-                const float *brow = b.row(j);
-                float acc = 0.0f;
-                for (size_t k = 0; k < a.cols(); ++k)
-                    acc += arow[k] * brow[k];
-                c.at(i, j) = acc;
-            }
-        }
-    }, /*min_per_worker=*/8);
-    return c;
-}
-
 /** Elementwise mask: grad *= (pre > 0). */
 void
 reluBackwardInPlace(DenseMatrix &grad, const DenseMatrix &pre)

@@ -63,7 +63,25 @@ class DenseMatrix
 /** Largest absolute element-wise difference; matrices must be same shape. */
 double maxAbsDiff(const DenseMatrix &a, const DenseMatrix &b);
 
-/** Dense matrix product C = A * B. */
+/*
+ * Dense combination kernels. Every output element is one accumulation
+ * chain starting from +0.0f and walking the reduction index in
+ * ascending order, so results are bit-identical at any thread count
+ * (DESIGN.md, "Bit-identity, not tolerance"). gemm and gemmTransposeA
+ * skip the terms whose A factor compares equal to 0.0f, exactly like a
+ * scalar `if (a == 0.0f) continue;` loop: a NaN factor is kept, and an
+ * inf or NaN in B opposite a zero in A never reaches the sum.
+ */
+
+/** Dense matrix product C = A * B, zero terms of A skipped. */
 DenseMatrix gemm(const DenseMatrix &a, const DenseMatrix &b);
+
+/** C = A^T * B for A (rows x k), B (rows x n), zero terms of A
+ *  skipped; training's dW = X^T dU. */
+DenseMatrix gemmTransposeA(const DenseMatrix &a, const DenseMatrix &b);
+
+/** C = A * B^T for A (m x n), B (k x n), every term summed; training's
+ *  upstream gradient dX = dU W^T. */
+DenseMatrix gemmTransposeB(const DenseMatrix &a, const DenseMatrix &b);
 
 } // namespace igcn

@@ -27,6 +27,11 @@
  *    is thread-invariant — the accelerator timing models depend on
  *    that).
  *
+ * The dense combination kernels (gemm, gemmTransposeA,
+ * gemmTransposeB) must be byte-equal to plain scalar ascending-index
+ * loops at 1/4/8 threads, over widths that hit every column-block
+ * tail, with inf/NaN operands pinning the zero-skip semantics.
+ *
  * A fuzz sweep over randomized small CSR matrices (empty rows,
  * isolated vertices, skewed degree distributions, rectangular shapes)
  * checks all five kernels against a naive triple-loop dense product.
@@ -35,7 +40,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/locator.hpp"
@@ -596,6 +604,145 @@ TEST_F(ParityTest, IslandizeSmallIslandConfigAcrossThreads)
 // ---------------------------------------------------------------------
 // Property/fuzz: randomized CSR vs. naive dense reference
 // ---------------------------------------------------------------------
+
+// ---------------------------------------------------------------------
+// Dense combination kernels: byte-equal to plain scalar loops
+// ---------------------------------------------------------------------
+
+/** c(i, j) = sum over ascending k of a(i, k) * b(k, j), zero a skipped. */
+DenseMatrix
+scalarGemm(const DenseMatrix &a, const DenseMatrix &b)
+{
+    DenseMatrix c(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t j = 0; j < b.cols(); ++j) {
+            float acc = 0.0f;
+            for (size_t k = 0; k < a.cols(); ++k) {
+                if (a.at(i, k) == 0.0f)
+                    continue;
+                acc += a.at(i, k) * b.at(k, j);
+            }
+            c.at(i, j) = acc;
+        }
+    return c;
+}
+
+/** c(i, j) = sum over ascending r of a(r, i) * b(r, j), zero a skipped. */
+DenseMatrix
+scalarGemmTransposeA(const DenseMatrix &a, const DenseMatrix &b)
+{
+    DenseMatrix c(a.cols(), b.cols());
+    for (size_t i = 0; i < a.cols(); ++i)
+        for (size_t j = 0; j < b.cols(); ++j) {
+            float acc = 0.0f;
+            for (size_t r = 0; r < a.rows(); ++r) {
+                if (a.at(r, i) == 0.0f)
+                    continue;
+                acc += a.at(r, i) * b.at(r, j);
+            }
+            c.at(i, j) = acc;
+        }
+    return c;
+}
+
+/** c(i, j) = sum over ascending k of a(i, k) * b(j, k), every term. */
+DenseMatrix
+scalarGemmTransposeB(const DenseMatrix &a, const DenseMatrix &b)
+{
+    DenseMatrix c(a.rows(), b.rows());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t j = 0; j < b.rows(); ++j) {
+            float acc = 0.0f;
+            for (size_t k = 0; k < a.cols(); ++k)
+                acc += a.at(i, k) * b.at(j, k);
+            c.at(i, j) = acc;
+        }
+    return c;
+}
+
+/** Same shape and the same bytes (NaN-safe, unlike operator==). */
+bool
+sameBytes(const DenseMatrix &x, const DenseMatrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+        std::memcmp(x.data().data(), y.data().data(),
+                    x.data().size() * sizeof(float)) == 0;
+}
+
+/** (output width n, reduction length k, density of the A operand). */
+class DenseKernelParityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, double>>
+{
+  protected:
+    void TearDown() override { setGlobalThreads(0); }
+};
+
+TEST_P(DenseKernelParityTest, ByteEqualToScalarLoopsAcrossThreads)
+{
+    const auto [n, k, density] = GetParam();
+    // 67 rows: 8 workers still get several rows each.
+    constexpr size_t kRows = 67;
+    Rng rng(k * 131 + n);
+
+    // gemm: A (rows x k) * B (k x n). Column 0 of A is all zero
+    // opposite a B row of inf/NaN, which a skipped term never
+    // reaches; one NaN in A is a non-zero and must propagate.
+    DenseMatrix a(kRows, k), b(k, n);
+    a.fillRandomSparse(rng, density);
+    b.fillRandom(rng);
+    for (size_t i = 0; i < kRows; ++i)
+        a.at(i, 0) = 0.0f;
+    for (size_t j = 0; j < n; ++j)
+        b.at(0, j) = j % 2 ? std::numeric_limits<float>::quiet_NaN()
+                           : std::numeric_limits<float>::infinity();
+    a.at(kRows / 2, k - 1) = std::numeric_limits<float>::quiet_NaN();
+
+    // gemmTransposeA: A^T (k x rows) * U (rows x n). Row 0 of A is
+    // all zero opposite a U row of inf/NaN.
+    DenseMatrix at(kRows, k), u(kRows, n);
+    at.fillRandomSparse(rng, density);
+    u.fillRandom(rng);
+    for (size_t i = 0; i < k; ++i)
+        at.at(0, i) = 0.0f;
+    for (size_t j = 0; j < n; ++j)
+        u.at(0, j) = j % 2 ? std::numeric_limits<float>::quiet_NaN()
+                           : std::numeric_limits<float>::infinity();
+
+    // gemmTransposeB: AT (rows x k) * W^T, W (n x k). Nothing is
+    // skipped: the inf in W opposite AT's all-zero row 0 makes
+    // c(0, n - 1) NaN. Each chain meets at most one non-finite term:
+    // which payload survives NaN + NaN depends on operand order,
+    // which the compiler may swap.
+    DenseMatrix w(n, k);
+    w.fillRandom(rng);
+    w.at(n - 1, 0) = std::numeric_limits<float>::infinity();
+
+    const DenseMatrix ref_ab = scalarGemm(a, b);
+    const DenseMatrix ref_atb = scalarGemmTransposeA(at, u);
+    const DenseMatrix ref_abt = scalarGemmTransposeB(at, w);
+    for (int threads : {1, 4, 8}) {
+        setGlobalThreads(threads);
+        const std::string ctx = "n " + std::to_string(n) + " k " +
+            std::to_string(k) + " density " + std::to_string(density) +
+            " @ " + std::to_string(threads) + " threads";
+        EXPECT_TRUE(sameBytes(gemm(a, b), ref_ab)) << "gemm, " << ctx;
+        EXPECT_TRUE(sameBytes(gemmTransposeA(at, u), ref_atb))
+            << "gemmTransposeA, " << ctx;
+        EXPECT_TRUE(sameBytes(gemmTransposeB(at, w), ref_abt))
+            << "gemmTransposeB, " << ctx;
+    }
+}
+
+// Widths 3/16/17/64/65 cover the 32-, 16-, 8- and 4-wide column blocks
+// and the scalar 1-3 column tail.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DenseKernelParityTest,
+    ::testing::Combine(::testing::Values(size_t{3}, size_t{16},
+                                         size_t{17}, size_t{64},
+                                         size_t{65}),
+                       ::testing::Values(size_t{7}, size_t{500},
+                                         size_t{1433}),
+                       ::testing::Values(0.01, 0.1, 1.0)));
 
 /**
  * Random CSR matrix with adversarial structure: empty rows, isolated
