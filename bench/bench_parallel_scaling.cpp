@@ -3,11 +3,11 @@
  * Parallel-scaling sweep of the island-aware execution engine.
  *
  * Runs every pooled kernel — island aggregation, the four SpMM
- * dataflows, the transpose scatter, the island locator and dense
- * GEMM — plus the end-to-end two-layer forward pass on the synthetic
- * hub-and-island dataset family, sweeping the thread-pool worker
- * count 1..N. Prints a speedup table and writes machine-readable
- * results to BENCH_parallel.json.
+ * dataflows, the transpose scatter and dense GEMM — plus the
+ * sequential island locator and the end-to-end two-layer forward pass
+ * on the synthetic hub-and-island dataset family, sweeping the
+ * thread-pool worker count 1..N. Prints a speedup table and writes
+ * machine-readable results to BENCH_parallel.json.
  *
  * Usage: bench_parallel_scaling [--max-threads=N] [--quick]
  *   --max-threads=N  cap the sweep (default: max(4, hardware))

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/thread_pool.hpp"
-
 namespace igcn {
 
 namespace {
@@ -24,9 +22,24 @@ struct LocatorState
     /** Task id that locally visited a node (0 = never). */
     std::vector<uint64_t> visitedLocalTask;
     uint64_t taskCounter = 0;
+    /**
+     * Most nodes one task can hold: at most cmax, and never more than
+     * the graph has, +1 for the push that triggers break condition B.
+     * Task buffers reserve this up front, so the scan loop never
+     * reallocates; capping by the node count keeps an unbounded cmax
+     * from reserving 16 GiB.
+     */
+    const size_t taskCapacity;
+    /** Members (BFS order) and border hubs of the sequential task
+     *  being explored; reused across tasks. */
+    std::vector<NodeId> taskNodes;
+    std::vector<NodeId> taskHubs;
 
     explicit LocatorState(const CsrGraph &graph, const LocatorConfig &c)
-        : g(graph), cfg(c)
+        : g(graph), cfg(c),
+          taskCapacity(
+              static_cast<size_t>(std::min(c.maxIslandSize,
+                                           graph.numNodes())) + 1)
     {
         const NodeId n = g.numNodes();
         out.role.assign(n, NodeRole::Unclassified);
@@ -34,181 +47,95 @@ struct LocatorState
         out.hubRound.assign(n, 0);
         visitedGlobalRound.assign(n, 0);
         visitedLocalTask.assign(n, 0);
+        taskNodes.reserve(taskCapacity);
     }
 };
 
 /**
- * Per-shard speculative execution state (worker-sharded mode). Each
- * shard runs its slice of the round's task list with private visited
- * marks, so workers never synchronize mid-BFS; conflicting claims are
- * resolved when results are committed in global task order.
+ * TP-BFS from start node a0 (Algorithm 4) against the run's visited
+ * marks. Collects the task's members and border hubs in st.taskNodes
+ * and st.taskHubs, charges its adjacency fetches to the stats, adds
+ * its scanned entries to `scanned`, and returns how it ended.
  */
-struct ShardCtx
+TaskOutcome
+exploreTask(LocatorState &st, NodeId hub0, NodeId a0, NodeId th,
+            uint32_t round, EdgeId &scanned)
 {
-    /** Round id in which this shard visited a node (0 = never). */
-    std::vector<uint32_t> visitedRound;
-    /** Shard-local task id that visited a node (0 = never). */
-    std::vector<uint64_t> visitedTask;
-    uint64_t taskCounter = 0;
-};
-
-/** Outcome of one speculatively executed TP-BFS task. */
-struct TaskResult
-{
-    TaskOutcome outcome = TaskOutcome::IslandFound;
-    /** Adjacency lists fetched while exploring. */
-    uint32_t adjFetches = 0;
-    /** Neighbor entries scanned while exploring. */
-    EdgeId edgesScanned = 0;
-    /** Candidate island members in BFS order (IslandFound only). */
-    std::vector<NodeId> nodes;
-    /** Candidate border hubs, sorted unique (IslandFound only). */
-    std::vector<NodeId> hubs;
-};
-
-/**
- * TP-BFS from start node a0 (Algorithm 4), speculative against the
- * shard's private marks. A completed task's candidate island is the
- * full connected component of sub-threshold unclassified nodes around
- * a0: BFS only stops at hubs (degree >= th), so the candidate's node
- * set, hub set and scan count do not depend on which shard explored
- * it — that is what makes the commit-in-task-order merge reproduce
- * the sequential partition at any thread count.
- */
-TaskResult
-runTask(const CsrGraph &g, const LocatorConfig &cfg,
-        const std::vector<NodeRole> &role, ShardCtx &ctx,
-        NodeId hub0, NodeId a0, NodeId th, uint32_t round)
-{
-    TaskResult res;
+    const CsrGraph &g = st.g;
     if (g.degree(a0) >= th) {
         // a0 is itself a hub: an inter-hub connection, not a task.
-        res.outcome = TaskOutcome::InterHub;
-        return res;
+        return TaskOutcome::InterHub;
     }
-    if (role[a0] == NodeRole::IslandNode ||
-        ctx.visitedRound[a0] == round) {
-        res.outcome = TaskOutcome::DroppedStartVisited;
-        return res;
-    }
+    if (st.out.role[a0] == NodeRole::IslandNode ||
+        st.visitedGlobalRound[a0] == round)
+        return TaskOutcome::DroppedStartVisited;
 
-    const uint64_t task_id = ++ctx.taskCounter;
-    // An island holds at most maxIslandSize nodes (+1 for the push
-    // that triggers break condition B); reserving once removes the
-    // realloc-and-copy churn of growth inside the scan loop.
-    res.nodes.reserve(static_cast<size_t>(cfg.maxIslandSize) + 1);
-    res.hubs.reserve(8);
-    res.nodes.push_back(a0);
-    res.hubs.push_back(hub0);
-    ctx.visitedTask[a0] = task_id;
-    ctx.visitedRound[a0] = round;
+    const uint64_t task_id = ++st.taskCounter;
+    std::vector<NodeId> &nodes = st.taskNodes;
+    std::vector<NodeId> &hubs = st.taskHubs;
+    nodes.assign(1, a0);
+    hubs.assign(1, hub0);
+    st.visitedLocalTask[a0] = task_id;
+    st.visitedGlobalRound[a0] = round;
 
-    size_t query = 0;
-    size_t count = 1;
-    while (query != count) {
-        NodeId node = res.nodes[query];
-        res.adjFetches++;
-        for (NodeId n : g.neighbors(node)) {
-            res.edgesScanned++;
+    for (size_t query = 0; query != nodes.size(); ++query) {
+        st.out.stats.adjListFetches++;
+        for (NodeId n : g.neighbors(nodes[query])) {
+            scanned++;
             if (g.degree(n) >= th) {
                 // Hub (this round's threshold, or an earlier round's
                 // higher one): border node, never traversed through.
-                res.hubs.push_back(n);
-            } else if (ctx.visitedTask[n] == task_id) {
+                hubs.push_back(n);
+            } else if (st.visitedLocalTask[n] == task_id) {
                 // Already explored by this task: skip.
-            } else if (ctx.visitedRound[n] == round) {
-                // Claimed by an earlier task of this shard (break
-                // cond. A): drop. The claiming region is finished, so
-                // the marks are kept (as in break condition B) and
-                // sibling tasks drop at start instead of rescanning.
-                // The parallel-engine mode implements the paper's
+            } else if (st.visitedGlobalRound[n] == round) {
+                // Claimed by an earlier task this round (break cond.
+                // A): drop. The claiming region is finished, so the
+                // marks are kept (as in break condition B) and sibling
+                // tasks drop at start instead of rescanning. The
+                // parallel-engine mode implements the paper's
                 // in-flight rollback verbatim.
-                res.outcome = TaskOutcome::DroppedCollision;
-                return res;
+                return TaskOutcome::DroppedCollision;
             } else {
-                count++;
-                res.nodes.push_back(n);
-                ctx.visitedTask[n] = task_id;
-                ctx.visitedRound[n] = round;
-                if (count > cfg.maxIslandSize) {
+                nodes.push_back(n);
+                st.visitedLocalTask[n] = task_id;
+                st.visitedGlobalRound[n] = round;
+                if (nodes.size() > st.cfg.maxIslandSize) {
                     // Break condition B: too large to be an island at
                     // this threshold. Marks are kept so sibling tasks
                     // don't rescan the region this round; the nodes
                     // stay unclassified and are retried next round at
                     // a lower threshold.
-                    res.outcome = TaskOutcome::DroppedOversize;
-                    return res;
+                    return TaskOutcome::DroppedOversize;
                 }
             }
         }
-        query++;
     }
 
     // Break condition C: query caught up with count -> island found.
-    std::sort(res.hubs.begin(), res.hubs.end());
-    res.hubs.erase(std::unique(res.hubs.begin(), res.hubs.end()),
-                   res.hubs.end());
-    res.outcome = TaskOutcome::IslandFound;
-    return res;
+    std::sort(hubs.begin(), hubs.end());
+    hubs.erase(std::unique(hubs.begin(), hubs.end()), hubs.end());
+    return TaskOutcome::IslandFound;
 }
 
 /**
- * Commit one task's speculative result, in global task order,
- * reconstructing the exact sequential execution — partition AND
- * statistics — from the shard results:
- *
- *  - Island ids are assigned in commit order, identical to the
- *    sequential assignment: the earliest task into a component is the
- *    winner under every sharding (no earlier task can have claimed
- *    it), its shard recording is mark-free over the component, and
- *    later shards' duplicate candidates of the same component carry
- *    the identical node set, so a start-node claim check suffices.
- *  - A duplicate candidate that lost the commit race is charged as
- *    the sequential interleaving would have run it: by its turn the
- *    winner had claimed the whole component, so it drops at start
- *    with zero scans.
- *  - A shard-dropped task (start-visited, collision, oversize) is
- *    REPLAYED against the canonical marks `canon`, which track the
- *    sequential global-visited state (committed islands plus earlier
- *    replayed aborts). Its shard-local scan count reflects the
- *    shard's mark subset, not the sequential one; the replay —
- *    bounded by cmax, the same work the sequential pass spends on
- *    that task — recovers the exact sequential outcome, scan count
- *    and marks. Replays never find islands (a completed closure would
- *    contradict the winner having committed first, or the component
- *    being oversize), but the IslandFound arm below handles every
- *    outcome anyway, so commit semantics equal the sequential
- *    algorithm by construction.
- *
- * With one shard the recordings already are the sequential execution
- * and the caller skips the replay (`canon_needed = false`).
+ * Run one TP-BFS task and commit its outcome — statistics, trace
+ * entry and, on break condition C, the island — before the next task
+ * starts.
  */
 void
-commitTask(LocatorState &st, ShardCtx &canon, bool canon_needed,
-           TaskResult &t, NodeId hub, NodeId a0, NodeId th,
-           uint32_t round,
-           std::vector<std::pair<NodeId, NodeId>> &inter_hub)
+runTask(LocatorState &st, NodeId hub, NodeId a0, NodeId th,
+        uint32_t round,
+        std::vector<std::pair<NodeId, NodeId>> &inter_hub)
 {
     auto &out = st.out;
     out.stats.tasksGenerated++;
+    EdgeId scanned = 0;
+    const TaskOutcome outcome =
+        exploreTask(st, hub, a0, th, round, scanned);
+    out.stats.edgesScanned += scanned;
 
-    TaskResult replay;
-    TaskResult *res = &t;
-    if (canon_needed) {
-        if (t.outcome == TaskOutcome::IslandFound) {
-            if (out.role[a0] != NodeRole::Unclassified ||
-                canon.visitedRound[a0] == round) {
-                replay.outcome = TaskOutcome::DroppedStartVisited;
-                res = &replay;
-            }
-        } else if (t.outcome != TaskOutcome::InterHub) {
-            replay = runTask(st.g, st.cfg, out.role, canon, hub, a0,
-                             th, round);
-            res = &replay;
-        }
-    }
-
-    switch (res->outcome) {
+    switch (outcome) {
     case TaskOutcome::InterHub:
         out.stats.tasksInterHub++;
         inter_hub.emplace_back(std::min(hub, a0), std::max(hub, a0));
@@ -217,29 +144,23 @@ commitTask(LocatorState &st, ShardCtx &canon, bool canon_needed,
         out.stats.tasksDroppedStartVisited++;
         break;
     case TaskOutcome::DroppedCollision:
+        out.stats.tasksDroppedCollision++;
+        out.stats.edgesScannedWasted += scanned;
+        break;
     case TaskOutcome::DroppedOversize:
-        if (res->outcome == TaskOutcome::DroppedCollision)
-            out.stats.tasksDroppedCollision++;
-        else
-            out.stats.tasksDroppedOversize++;
-        out.stats.adjListFetches += res->adjFetches;
-        out.stats.edgesScanned += res->edgesScanned;
-        out.stats.edgesScannedWasted += res->edgesScanned;
+        out.stats.tasksDroppedOversize++;
+        out.stats.edgesScannedWasted += scanned;
         break;
     case TaskOutcome::IslandFound: {
-        out.stats.adjListFetches += res->adjFetches;
-        out.stats.edgesScanned += res->edgesScanned;
         Island island;
-        island.nodes = std::move(res->nodes);
-        island.hubs = std::move(res->hubs);
+        island.nodes = st.taskNodes;
+        island.hubs = st.taskHubs;
         island.round = static_cast<int>(round);
-        island.edgesScanned = res->edgesScanned;
+        island.edgesScanned = scanned;
         const auto id = static_cast<uint32_t>(out.islands.size());
         for (NodeId v : island.nodes) {
             out.role[v] = NodeRole::IslandNode;
             out.islandOf[v] = id;
-            if (canon_needed)
-                canon.visitedRound[v] = round;
         }
         out.islands.push_back(std::move(island));
         out.stats.islandsFound++;
@@ -250,8 +171,8 @@ commitTask(LocatorState &st, ShardCtx &canon, bool canon_needed,
     if (st.cfg.recordTrace) {
         TaskTrace trace;
         trace.round = static_cast<uint16_t>(round);
-        trace.outcome = res->outcome;
-        trace.edgesScanned = static_cast<uint32_t>(res->edgesScanned);
+        trace.outcome = outcome;
+        trace.edgesScanned = static_cast<uint32_t>(scanned);
         trace.hubDegree = st.g.degree(hub);
         out.taskTrace.push_back(trace);
     }
@@ -296,7 +217,7 @@ finishIsland(LocatorState &st, BfsEngine &e, uint32_t round)
 
 /**
  * Advance one engine by one node expansion (the adjacency list of
- * the node under the query pointer). Mirrors tpBfs()'s per-neighbor
+ * the node under the query pointer). Mirrors exploreTask()'s per-neighbor
  * logic; step granularity is what makes engine interleaving visible.
  */
 void
@@ -386,8 +307,7 @@ runParallelTpBfs(LocatorState &st,
                     e.hub0 = hub;
                     e.vLocal.clear();
                     e.hLocal.clear();
-                    e.vLocal.reserve(
-                        static_cast<size_t>(st.cfg.maxIslandSize) + 1);
+                    e.vLocal.reserve(st.taskCapacity);
                     e.hLocal.reserve(8);
                     e.vLocal.push_back(a0);
                     e.hLocal.push_back(hub);
@@ -436,15 +356,6 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
     uint32_t round = 0;
     bool last_round_done = false;
 
-    // Shard contexts persist across rounds (round-tagged marks make
-    // stale entries invisible); one per worker, allocated lazily.
-    // `canon` tracks the canonical (sequential-interleaving) visited
-    // state during multi-shard commits.
-    ThreadPool &pool = globalPool();
-    std::vector<ShardCtx> shard_ctxs;
-    ShardCtx canon;
-    constexpr size_t kMinTasksPerShard = 4;
-
     while (!node_list.empty() && !last_round_done) {
         round++;
         if (th <= 1)
@@ -457,49 +368,24 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
         const uint64_t islands_before = out.stats.islandsFound;
 
         // --- Th1: detect_hub (Algorithm 2) -------------------------
-        // Hub-ness is a pure function of degree and threshold, so the
-        // sweep shards across workers; per-worker hub/remaining lists
-        // concatenated in worker order replay the sequential scan
-        // order (chunks are contiguous).
+        // node_list holds only unclassified nodes (it is compacted at
+        // the end of every round): each becomes a hub now or stays.
         out.stats.hubDetectChecks += node_list.size();
-        struct HubDetectAcc
-        {
-            std::vector<NodeId> hubs;
-            std::vector<NodeId> remaining;
-        };
-        KernelRegion hub_detect_region("hub_detect");
-        std::vector<HubDetectAcc> dets = parallelAccumulate(
-            pool, 0, node_list.size(), HubDetectAcc{},
-            [&](HubDetectAcc &acc, int, size_t lo, size_t hi) {
-                for (size_t i = lo; i < hi; ++i) {
-                    const NodeId v = node_list[i];
-                    if (out.role[v] != NodeRole::Unclassified)
-                        continue; // classified in a previous round
-                    if (g.degree(v) >= th) {
-                        out.role[v] = NodeRole::Hub;
-                        out.hubRound[v] =
-                            static_cast<uint16_t>(round);
-                        acc.hubs.push_back(v);
-                    } else {
-                        acc.remaining.push_back(v);
-                    }
-                }
-            }, /*min_per_worker=*/256);
         std::vector<NodeId> hub_buffer;
-        std::vector<NodeId> remaining;
-        remaining.reserve(node_list.size());
-        for (HubDetectAcc &acc : dets) {
-            hub_buffer.insert(hub_buffer.end(), acc.hubs.begin(),
-                              acc.hubs.end());
-            remaining.insert(remaining.end(), acc.remaining.begin(),
-                             acc.remaining.end());
+        size_t kept = 0;
+        for (size_t i = 0; i < node_list.size(); ++i) {
+            const NodeId v = node_list[i];
+            if (g.degree(v) >= th) {
+                out.role[v] = NodeRole::Hub;
+                out.hubRound[v] = static_cast<uint16_t>(round);
+                hub_buffer.push_back(v);
+            } else {
+                node_list[kept++] = v;
+            }
         }
-        node_list = std::move(remaining);
+        node_list.resize(kept);
 
         // --- Th2 + Th3: task_assign (Alg. 3) + TP-BFS (Alg. 4) ----
-        // Innermost label wins, so this re-labels the rest of the
-        // round away from hub_detect_region above.
-        KernelRegion tpbfs_region("tpbfs_explore");
         if (cfg.parallelEngines) {
             // P2 concurrent engines, round-robin interleaved.
             std::deque<std::pair<NodeId, NodeId>> tasks;
@@ -510,47 +396,14 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
             }
             runParallelTpBfs(st, tasks, th, round, inter_hub_raw);
         } else {
-            // Worker-sharded speculative execution. The task list is
-            // generated in the sequential order (hub order, neighbor
-            // order), statically sharded across workers that explore
-            // against private marks, and the results are committed in
-            // global task order. Candidate islands are full
-            // components of the sub-threshold subgraph, so the
-            // committed partition — including island ids and BFS node
-            // order — is identical at every thread count; one shard
-            // replays the sequential interleaving exactly.
-            std::vector<std::pair<NodeId, NodeId>> tasks;
+            // One task at a time in hub order, then neighbor order,
+            // each committed before the next starts. A task explores
+            // at most cmax nodes, too little work to pay for a thread.
             for (NodeId hub : hub_buffer) {
                 out.stats.adjListFetches++;
                 for (NodeId a0 : g.neighbors(hub))
-                    tasks.emplace_back(hub, a0);
+                    runTask(st, hub, a0, th, round, inter_hub_raw);
             }
-            const int shards =
-                pool.planChunks(0, tasks.size(), kMinTasksPerShard);
-            if (static_cast<size_t>(shards) > shard_ctxs.size())
-                shard_ctxs.resize(static_cast<size_t>(shards));
-            std::vector<TaskResult> results(tasks.size());
-            pool.parallelFor(0, tasks.size(),
-                             [&](int w, size_t lo, size_t hi) {
-                ShardCtx &ctx = shard_ctxs[static_cast<size_t>(w)];
-                if (ctx.visitedRound.size() != n) {
-                    ctx.visitedRound.assign(n, 0);
-                    ctx.visitedTask.assign(n, 0);
-                }
-                for (size_t i = lo; i < hi; ++i)
-                    results[i] = runTask(g, cfg, out.role, ctx,
-                                         tasks[i].first,
-                                         tasks[i].second, th, round);
-            }, kMinTasksPerShard);
-            const bool canon_needed = shards > 1;
-            if (canon_needed && canon.visitedRound.size() != n) {
-                canon.visitedRound.assign(n, 0);
-                canon.visitedTask.assign(n, 0);
-            }
-            for (size_t i = 0; i < results.size(); ++i)
-                commitTask(st, canon, canon_needed, results[i],
-                           tasks[i].first, tasks[i].second, th, round,
-                           inter_hub_raw);
         }
 
         // --- End-of-round threshold decay (Algorithm 1 line 10) ----

@@ -20,17 +20,13 @@
  * *which* engine claims a region, not the set of islands, and
  * sequential task order is one valid interleaving.
  *
- * The default mode runs on the process-global thread pool: hub
- * detection and TP-BFS tasks are statically sharded across workers,
- * each shard explores speculatively against private visited marks,
- * and results are committed in global task order against a canonical
- * marks context (aborted tasks are replayed there, bounded by cmax
- * each). The commit therefore reconstructs the sequential execution
- * exactly: the partition — island membership, BFS node order, island
- * ids — AND every statistic and trace entry are identical at every
- * thread count, bit-identical to the sequential interleaving. The
- * cycle-level accelerator models consume these stats, so modeled
- * latency/energy never depends on IGCN_THREADS.
+ * The default mode runs every task to completion, in hub order then
+ * neighbor order, and commits it before the next starts. It makes no
+ * thread-pool call: a task explores at most cmax nodes, too little
+ * work to pay for a thread. Its result — partition, island ids, BFS
+ * node order, every statistic and trace entry — is therefore the same
+ * at every IGCN_THREADS, which the cycle-level accelerator models
+ * that consume these stats rely on.
  */
 
 #pragma once

@@ -129,6 +129,68 @@ TEST(CliArgs, LastOccurrenceWins)
     EXPECT_EQ(a.getInt("seed", 0), 2);
 }
 
+TEST(CliArgs, IntInRangeRejectsOutOfRangeValues)
+{
+    Args a = parse({"--k", "5"});
+    EXPECT_EQ(a.getIntInRange("k", 0, 1, 5), 5);
+    EXPECT_EQ(a.getIntInRange("absent", 9, 1, 5), 9);
+    EXPECT_THROW(a.getIntInRange("k", 0, 6, 10), std::runtime_error);
+    EXPECT_THROW(a.getIntInRange("k", 0, 0, 4), std::runtime_error);
+}
+
+// --- locator options (igcn islandize / serve) ------------------------
+// `--cmax -1` and `--th0 -1` used to be cast to NodeId and wrap to
+// about 4.29e9; they are now errors naming the option.
+
+TEST(CliLocatorConfigArg, DefaultsAndValidValues)
+{
+    const igcn::LocatorConfig def;
+    igcn::LocatorConfig cfg = igcn::cli::locatorConfigArg(parse({}));
+    EXPECT_EQ(cfg.maxIslandSize, def.maxIslandSize);
+    EXPECT_EQ(cfg.initialThreshold, def.initialThreshold);
+    EXPECT_FALSE(cfg.parallelEngines);
+
+    cfg = igcn::cli::locatorConfigArg(parse(
+        {"--cmax", "1", "--th0", "0", "--decay", "0.5", "--parallel"}));
+    EXPECT_EQ(cfg.maxIslandSize, 1u);
+    EXPECT_EQ(cfg.initialThreshold, 0u);
+    EXPECT_DOUBLE_EQ(cfg.decay, 0.5);
+    EXPECT_TRUE(cfg.parallelEngines);
+
+    cfg = igcn::cli::locatorConfigArg(
+        parse({"--cmax", "4294967295", "--th0", "4294967295"}));
+    EXPECT_EQ(cfg.maxIslandSize, 4294967295u);
+    EXPECT_EQ(cfg.initialThreshold, 4294967295u);
+}
+
+TEST(CliLocatorConfigArg, NonPositiveCmaxIsAnError)
+{
+    for (const char *bad : {"-1", "0", "4294967296"}) {
+        try {
+            igcn::cli::locatorConfigArg(parse({"--cmax", bad}));
+            FAIL() << "expected std::runtime_error for --cmax " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("--cmax"),
+                      std::string::npos);
+        }
+        EXPECT_THROW(igcn::cli::cmaxArg(parse({"--cmax", bad}), 64),
+                     std::runtime_error);
+    }
+}
+
+TEST(CliLocatorConfigArg, NegativeTh0IsAnError)
+{
+    for (const char *bad : {"-1", "4294967296"}) {
+        try {
+            igcn::cli::locatorConfigArg(parse({"--th0", bad}));
+            FAIL() << "expected std::runtime_error for --th0 " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("--th0"),
+                      std::string::npos);
+        }
+    }
+}
+
 // --- the --in graph-loading path every file-taking subcommand uses --
 // main() catches these exceptions, prints them, and exits nonzero, so
 // each throw below is a nonzero CLI exit with the tested message.

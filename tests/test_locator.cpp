@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/locator.hpp"
@@ -177,12 +178,21 @@ TEST(Locator, Deterministic)
 
 TEST(Locator, RespectsMaxIslandSize)
 {
+    // NodeId max means "no size limit": task buffers must be capped by
+    // the node count, not reserve cmax + 1 slots (16 GiB) per task.
+    constexpr NodeId kUnbounded = std::numeric_limits<NodeId>::max();
     auto hi = hubAndIslandGraph({.numNodes = 1000, .seed = 11});
-    for (NodeId cmax : {1u, 2u, 4u, 8u, 64u}) {
-        LocatorConfig cfg;
-        cfg.maxIslandSize = cmax;
-        auto isl = islandize(hi.graph, cfg);
-        checkInvariants(hi.graph, isl, cfg);
+    for (NodeId cmax : {1u, 2u, 4u, 8u, 64u, kUnbounded}) {
+        for (bool engines : {false, true}) {
+            LocatorConfig cfg;
+            cfg.maxIslandSize = cmax;
+            cfg.parallelEngines = engines;
+            auto isl = islandize(hi.graph, cfg);
+            checkInvariants(hi.graph, isl, cfg);
+            if (cmax == kUnbounded) {
+                EXPECT_EQ(isl.stats.tasksDroppedOversize, 0u);
+            }
+        }
     }
 }
 

@@ -3,9 +3,9 @@
  * Differential and property tests for the parallel kernels.
  *
  * Every kernel that moved onto the thread pool — the four SpMM
- * dataflows, csrTransposeTimesDense and the locator's islandize — is
- * checked at 1/2/4/8 threads across the four graph families against
- * a sequential reference written with the pre-refactor loop orders:
+ * dataflows and csrTransposeTimesDense — and the locator's islandize
+ * are checked at 1/2/4/8 threads across the four graph families
+ * against a sequential reference or a golden result:
  *
  *  - at 1 thread the parallel kernel must be BIT-identical to the
  *    sequential reference (one chunk, one accumulator, same float
@@ -19,13 +19,12 @@
  *    versions guaranteed — which these tests also still imply);
  *  - hardware access counters are arithmetic and must be exact at
  *    every thread count;
- *  - islandize must reproduce the sequential execution exactly at
- *    every thread count: the island partition (ids, membership, BFS
- *    node order, roles, inter-hub map, per-round record) AND all
- *    statistics and trace entries (the commit phase replays aborted
- *    tasks against canonical marks, so even wasted-work accounting
- *    is thread-invariant — the accelerator timing models depend on
- *    that).
+ *  - islandize (sequential; it makes no pool call) must give the same
+ *    result at every pool size: the island partition (ids,
+ *    membership, BFS node order, roles, inter-hub map, per-round
+ *    record) AND all statistics and trace entries — the accelerator
+ *    timing models depend on that — and must match a golden
+ *    fingerprint of the full result.
  *
  * The dense combination kernels (gemm, gemmTransposeA,
  * gemmTransposeB) must be byte-equal to plain scalar ascending-index
@@ -40,10 +39,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/locator.hpp"
@@ -549,13 +550,138 @@ expectSameStats(const LocatorStats &a, const LocatorStats &b,
     EXPECT_EQ(a.edgesScannedWasted, b.edgesScannedWasted) << ctx;
 }
 
+/**
+ * FNV-1a over a stream of integers. Each value is fed field by field,
+ * least-significant byte first, so the hash is independent of struct
+ * padding and host byte order.
+ */
+class Fnv1a
+{
+  public:
+    template <typename T>
+    void
+    add(T v)
+    {
+        uint64_t bits;
+        if constexpr (std::is_enum_v<T>)
+            bits = static_cast<uint64_t>(
+                static_cast<std::underlying_type_t<T>>(v));
+        else
+            bits = static_cast<uint64_t>(v);
+        for (size_t i = 0; i < sizeof(T); ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    template <typename T>
+    void
+    addAll(const std::vector<T> &vs)
+    {
+        add(static_cast<uint64_t>(vs.size()));
+        for (const T &v : vs)
+            add(v);
+    }
+
+    uint64_t value() const { return h; }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ull;
+};
+
+/** Fingerprint of every field of an islandization result. */
+uint64_t
+fingerprint(const IslandizationResult &r)
+{
+    Fnv1a f;
+    f.add(static_cast<uint64_t>(r.islands.size()));
+    for (const Island &isl : r.islands) {
+        f.addAll(isl.nodes);
+        f.addAll(isl.hubs);
+        f.add(isl.round);
+        f.add(isl.edgesScanned);
+    }
+    f.add(static_cast<uint64_t>(r.rounds.size()));
+    for (const RoundInfo &ri : r.rounds) {
+        f.add(ri.threshold);
+        f.add(ri.nodesChecked);
+        f.add(ri.hubsDetected);
+        f.add(ri.edgesScanned);
+        f.add(ri.islandsFound);
+    }
+    f.add(static_cast<uint64_t>(r.taskTrace.size()));
+    for (const TaskTrace &t : r.taskTrace) {
+        f.add(t.round);
+        f.add(t.outcome);
+        f.add(t.edgesScanned);
+        f.add(t.hubDegree);
+    }
+    f.addAll(r.role);
+    f.addAll(r.islandOf);
+    f.addAll(r.hubRound);
+    f.add(static_cast<uint64_t>(r.interHubEdges.size()));
+    for (const Edge &e : r.interHubEdges) {
+        f.add(e.first);
+        f.add(e.second);
+    }
+    f.addAll(r.thresholds);
+    f.add(r.numRounds);
+    const LocatorStats &s = r.stats;
+    for (uint64_t v : {s.tasksGenerated, s.tasksDroppedStartVisited,
+                       s.tasksDroppedCollision, s.tasksDroppedOversize,
+                       s.tasksInterHub, s.islandsFound, s.hubDetectChecks,
+                       s.adjListFetches, s.edgesScanned,
+                       s.edgesScannedWasted})
+        f.add(v);
+    return f.value();
+}
+
+TEST_F(ParityTest, IslandizeMatchesGoldenFingerprint)
+{
+    // Fingerprints of the full sequential-mode result (partition, ids,
+    // BFS order, per-round records, every stat, the task trace),
+    // recorded from the worker-sharded locator this sequential one
+    // replaced. Any change to what islandize computes — the
+    // accelerator models consume all of these fields — fails here.
+    struct Golden
+    {
+        NodeId cmax;
+        uint64_t fp[4]; // one per graphFamilies() entry, in order
+    };
+    const Golden kGolden[] = {
+        {4, {0x0c75658540b2e61aull, 0x6249477b0d0b479bull,
+             0xd87452b1e20cd9b7ull, 0x5a99cf598144ec14ull}},
+        {64, {0xc2130ad68779b302ull, 0xb6e68d191166b9c9ull,
+              0x0273d86bc6f93ea5ull, 0xad77881727a3650cull}},
+    };
+    const std::vector<FamilyCase> families = graphFamilies();
+    for (const Golden &gold : kGolden) {
+        LocatorConfig cfg;
+        cfg.maxIslandSize = gold.cmax;
+        cfg.recordTrace = true;
+        for (size_t i = 0; i < families.size(); ++i) {
+            for (int threads : kThreadCounts) {
+                setGlobalThreads(threads);
+                const uint64_t fp =
+                    fingerprint(islandize(families[i].graph, cfg));
+                char hex[19];
+                std::snprintf(hex, sizeof hex, "%#018llx",
+                              static_cast<unsigned long long>(fp));
+                EXPECT_EQ(fp, gold.fp[i])
+                    << families[i].name << ", cmax " << gold.cmax
+                    << " @ " << threads << " threads: got " << hex;
+            }
+        }
+    }
+}
+
 TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
 {
-    // The commit phase replays aborted tasks against canonical marks,
-    // so not just the partition but EVERY statistic and trace entry
-    // must equal the 1-thread (= pre-refactor sequential) run: the
-    // cycle-level accelerator models consume these stats, and their
-    // modeled latency must not depend on IGCN_THREADS.
+    // The locator runs no pool work, so not just the partition but
+    // EVERY statistic and trace entry must equal the 1-thread run at
+    // any pool size: the cycle-level accelerator models consume these
+    // stats, and their modeled latency must not depend on
+    // IGCN_THREADS.
     for (const FamilyCase &fc : graphFamilies()) {
         LocatorConfig cfg;
         cfg.recordTrace = true;
@@ -580,9 +706,8 @@ TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
 TEST_F(ParityTest, IslandizeSmallIslandConfigAcrossThreads)
 {
     // Small cmax exercises the oversize path (break condition B),
-    // where speculative shards re-scan components and the commit
-    // replay has real work to do: partition AND stats must still
-    // match the sequential run exactly.
+    // whose kept marks make later tasks drop at start: partition AND
+    // stats must still match the 1-thread run exactly.
     auto hi = hubAndIslandGraph({.numNodes = 1200, .seed = 47});
     LocatorConfig cfg;
     cfg.maxIslandSize = 4;

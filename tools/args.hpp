@@ -109,6 +109,25 @@ class Args
     }
 
     /**
+     * Integer value of --key, which must lie in [lo, hi]; fallback
+     * when absent.
+     * @throws std::runtime_error on a valueless, non-integer or
+     * out-of-range value.
+     */
+    long
+    getIntInRange(const std::string &key, long fallback, long lo,
+                  long hi) const
+    {
+        const long v = getInt(key, fallback);
+        if (has(key) && (v < lo || v > hi))
+            throw std::runtime_error(
+                "--" + key + " must be in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "], got " +
+                std::to_string(v));
+        return v;
+    }
+
+    /**
      * Double value of --key; fallback when absent.
      * @throws std::runtime_error on a valueless or non-numeric value.
      */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Graph-loading helpers shared by the igcn CLI and its tests.
+ * Graph-loading and option helpers shared by the igcn CLI and its
+ * tests.
  *
  * Every subcommand that takes `--in FILE` routes through
  * loadGraphArg(), so a missing flag, a valueless flag, an unopenable
@@ -13,9 +14,11 @@
 
 #pragma once
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "core/locator.hpp"
 #include "graph/io.hpp"
 
 #include "args.hpp"
@@ -30,6 +33,34 @@ loadGraphArg(const Args &args)
     if (path.empty())
         throw std::runtime_error("--in FILE is required");
     return loadEdgeList(path);
+}
+
+/** Largest value a NodeId-typed option accepts. */
+inline constexpr long kMaxNodeIdArg = std::numeric_limits<NodeId>::max();
+
+/** Validated --cmax (island size limit, >= 1). */
+inline NodeId
+cmaxArg(const Args &args, NodeId fallback)
+{
+    return static_cast<NodeId>(
+        args.getIntInRange("cmax", fallback, 1, kMaxNodeIdArg));
+}
+
+/**
+ * Island Locator options: --cmax, --decay, --th0, --parallel. A
+ * --cmax below 1 or a negative --th0 is an error: cast to NodeId it
+ * would wrap to about 4.29e9.
+ */
+inline LocatorConfig
+locatorConfigArg(const Args &args)
+{
+    LocatorConfig cfg;
+    cfg.maxIslandSize = cmaxArg(args, cfg.maxIslandSize);
+    cfg.decay = args.getDouble("decay", cfg.decay);
+    cfg.initialThreshold = static_cast<NodeId>(
+        args.getIntInRange("th0", 0, 0, kMaxNodeIdArg));
+    cfg.parallelEngines = args.has("parallel");
+    return cfg;
 }
 
 } // namespace igcn::cli

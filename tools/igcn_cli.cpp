@@ -143,13 +143,7 @@ int
 cmdIslandize(const Args &args)
 {
     CsrGraph g = loadGraphArg(args);
-    LocatorConfig cfg;
-    cfg.maxIslandSize =
-        static_cast<NodeId>(args.getInt("cmax", cfg.maxIslandSize));
-    cfg.decay = args.getDouble("decay", cfg.decay);
-    cfg.initialThreshold =
-        static_cast<NodeId>(args.getInt("th0", 0));
-    cfg.parallelEngines = args.has("parallel");
+    const LocatorConfig cfg = locatorConfigArg(args);
 
     IslandizationResult isl = islandize(g, cfg);
     PruningReport pruning = countPruning(g, isl, {});
@@ -354,8 +348,7 @@ cmdServe(const Args &args)
         static_cast<uint32_t>(args.getInt("batch-cap", 32));
     sc.scheduler.maxWaitUs =
         static_cast<uint64_t>(args.getInt("max-wait-us", 200));
-    sc.locator.maxIslandSize = static_cast<NodeId>(
-        args.getInt("cmax", sc.locator.maxIslandSize));
+    sc.locator.maxIslandSize = cmaxArg(args, sc.locator.maxIslandSize);
     sc.aggCache.enabled =
         args.has("agg-cache") || args.has("agg-cache-mb");
     sc.aggCache.maxBytes = static_cast<size_t>(
