@@ -2,7 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the library's hot kernels:
  * SpMM dataflows, islandization, island bitmap construction, window
- * op counting, and the island-based aggregation itself.
+ * op counting, and the island-based aggregation itself — plus the
+ * serving engine's receptive-field build and one whole micro-batch.
  *
  * The rewritten gather kernels (push outer-product, transpose) sweep
  * the thread count as a second benchmark argument — the per-kernel
@@ -23,9 +24,12 @@
 #include "core/locator.hpp"
 #include "core/redundancy.hpp"
 #include "gcn/reference.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "obs/runtime.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/engine.hpp"
+#include "serve/trace.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn {
@@ -139,33 +143,6 @@ BM_CscAdjunctBuild(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_CscAdjunctBuild);
-
-void
-BM_CsrGather(benchmark::State &state)
-{
-    // The serving engine's per-micro-batch row extraction: pull a
-    // receptive field's rows out of a NELL-shaped CSR feature matrix.
-    // range(0) = density in permille, range(1) = threads.
-    RssScope rss(state);
-    setGlobalThreads(static_cast<int>(state.range(1)));
-    const double density =
-        static_cast<double>(state.range(0)) / 1000.0;
-    Rng rng(3);
-    Features x = makeFeatures(20000, 4096, density, rng,
-                              /*force_sparse=*/true);
-    std::vector<NodeId> rows(1024);
-    for (NodeId &r : rows)
-        r = static_cast<NodeId>(rng.nextBounded(20000));
-    for (auto _ : state) {
-        CsrFeatures sub = csrGather(x.csr, rows);
-        benchmark::DoNotOptimize(sub.values.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(x.nnz()) * 1024 /
-                            20000);
-    setGlobalThreads(0);
-}
-BENCHMARK(BM_CsrGather)->ArgsProduct({{10, 100}, {1, 2, 4}});
 
 void
 BM_FirstLayerCombination(benchmark::State &state)
@@ -305,6 +282,73 @@ BM_BuildIslandBitmap(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * isl.islands.size());
 }
 BENCHMARK(BM_BuildIslandBitmap);
+
+/** Pubmed surrogate served as the end-to-end benchmark serves it. */
+struct ServeBench
+{
+    DatasetGraph data = buildDataset(Dataset::Pubmed);
+    Features x;
+    std::vector<DenseMatrix> weights;
+    /** 16 targets of a default (hot-set) trace, in arrival order. */
+    std::vector<serve::Request> batch;
+
+    ServeBench()
+    {
+        Rng rng(5);
+        x = makeFeatures(data.graph.numNodes(), data.info.numFeatures,
+                         data.info.featureDensity, rng);
+        weights = makeWeights(
+            modelConfig(Model::GCN, NetConfig::Algo, data.info), rng);
+        serve::TraceConfig tc;
+        tc.numInference = 16;
+        tc.numUpdates = 0;
+        for (const serve::Request &r :
+             serve::makeSyntheticTrace(data.graph, tc))
+            if (r.kind == serve::RequestKind::Inference)
+                batch.push_back(r);
+    }
+};
+
+const ServeBench &
+serveBench()
+{
+    static const ServeBench b;
+    return b;
+}
+
+void
+BM_InducedSubgraph(benchmark::State &state)
+{
+    // The engine's receptive-field build for one 2-hop batch.
+    const ServeBench &b = serveBench();
+    std::vector<NodeId> targets;
+    for (const serve::Request &r : b.batch)
+        targets.push_back(r.node);
+    const std::vector<NodeId> field =
+        lHopNodeSet(b.data.graph, targets, 2);
+    for (auto _ : state) {
+        LHopSubgraph ext = inducedSubgraph(b.data.graph, field, targets);
+        benchmark::DoNotOptimize(ext.sub.cols().data());
+    }
+    state.counters["field_nodes"] = static_cast<double>(field.size());
+}
+BENCHMARK(BM_InducedSubgraph)->Unit(benchmark::kMicrosecond);
+
+void
+BM_ServeBatch(benchmark::State &state)
+{
+    // One InferenceEngine::runBatch over the same 16 targets: field
+    // extraction, the gather of X W0 rows and the 2-layer chain.
+    const ServeBench &b = serveBench();
+    auto hub = std::make_shared<serve::GraphStateHub>(
+        serve::makeGraphState(b.data.graph, LocatorConfig{}));
+    serve::InferenceEngine engine(hub, b.x, b.weights);
+    for (auto _ : state) {
+        auto results = engine.runBatch(b.batch);
+        benchmark::DoNotOptimize(results.data());
+    }
+}
+BENCHMARK(BM_ServeBatch)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace igcn

@@ -75,29 +75,17 @@ refreshNormalizedAdjacency(CsrMatrix &m, const CsrGraph &g,
     m.invalidateCsc();
 }
 
-namespace {
-
-/**
- * Shared layer chain past the first combination: aggregate xw0 over
- * a_hat, then gemm/aggregate/ReLU through the remaining layers. Both
- * subgraphForward overloads funnel here, so the dense and sparse
- * entry points run the identical operation sequence after layer 0's
- * X W product.
- */
 DenseMatrix
-forwardChain(const CsrMatrix &a_hat, DenseMatrix xw0,
-             const std::vector<DenseMatrix> &weights)
+forwardPastLayer0(const CsrMatrix &a_hat, DenseMatrix h1,
+                  const std::vector<DenseMatrix> &weights)
 {
-    DenseMatrix current = spmmPullRowWise(a_hat, xw0);
     for (size_t l = 1; l < weights.size(); ++l) {
-        reluInPlace(current);
-        DenseMatrix xw = gemm(current, weights[l]);
-        current = spmmPullRowWise(a_hat, xw);
+        reluInPlace(h1);
+        DenseMatrix xw = gemm(h1, weights[l]);
+        h1 = spmmPullRowWise(a_hat, xw);
     }
-    return current;
+    return h1;
 }
-
-} // namespace
 
 DenseMatrix
 subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
@@ -107,7 +95,8 @@ subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
     if (weights.empty())
         throw std::invalid_argument("no layers");
     CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardChain(a_hat, gemm(x, weights[0]), weights);
+    return forwardPastLayer0(
+        a_hat, spmmPullRowWise(a_hat, gemm(x, weights[0])), weights);
 }
 
 DenseMatrix
@@ -118,7 +107,9 @@ subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
     if (weights.empty())
         throw std::invalid_argument("no layers");
     CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardChain(a_hat, sparseTimesDense(x, weights[0]), weights);
+    return forwardPastLayer0(
+        a_hat, spmmPullRowWise(a_hat, sparseTimesDense(x, weights[0])),
+        weights);
 }
 
 CsrMatrix

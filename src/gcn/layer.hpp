@@ -80,6 +80,16 @@ DenseMatrix subgraphForward(const CsrGraph &sub,
                             const CsrFeatures &x,
                             const std::vector<DenseMatrix> &weights);
 
+/**
+ * The layer chain past layer 0: given layer 0's pre-activation output
+ * h1 = A_hat X W0, apply ReLU, combine with weights[l] and aggregate
+ * over a_hat for every layer l >= 1. Both subgraphForward overloads
+ * and the serving engine run this one sequence from their layer-0
+ * product, so the rows they share are bit-identical.
+ */
+DenseMatrix forwardPastLayer0(const CsrMatrix &a_hat, DenseMatrix h1,
+                              const std::vector<DenseMatrix> &weights);
+
 /** Binary adjacency with self loops, A + I (factored path). */
 CsrMatrix binaryAdjacencyWithSelfLoops(const CsrGraph &g);
 

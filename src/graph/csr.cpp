@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -315,13 +314,17 @@ LHopSubgraph
 inducedSubgraph(const CsrGraph &g, std::vector<NodeId> nodes,
                 std::span<const NodeId> targets)
 {
-    // One binary search decides membership and yields the local id.
-    auto find_local = [&nodes](NodeId v) -> std::optional<NodeId> {
-        auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
-        if (it == nodes.end() || *it != v)
-            return std::nullopt;
-        return static_cast<NodeId>(it - nodes.begin());
-    };
+    // Global -> local id map (kAbsent outside the set): O(1) per
+    // visited neighbor, over the same O(numNodes) scratch lHopNodeSet
+    // allocates.
+    constexpr NodeId kAbsent = ~NodeId{0};
+    const NodeId n = g.numNodes();
+    if (!nodes.empty() && nodes.back() >= n)
+        throw std::out_of_range(
+            "inducedSubgraph: node exceeds num_nodes");
+    std::vector<NodeId> local_of(n, kAbsent);
+    for (size_t l = 0; l < nodes.size(); ++l)
+        local_of[nodes[l]] = static_cast<NodeId>(l);
 
     std::vector<EdgeId> rp(nodes.size() + 1, 0);
     std::vector<NodeId> ci;
@@ -329,8 +332,8 @@ inducedSubgraph(const CsrGraph &g, std::vector<NodeId> nodes,
         // Global neighbor lists are ascending and the relabeling is
         // monotone, so local rows come out ascending for free.
         for (NodeId v : g.neighbors(nodes[l]))
-            if (auto local = find_local(v))
-                ci.push_back(*local);
+            if (local_of[v] != kAbsent)
+                ci.push_back(local_of[v]);
         rp[l + 1] = ci.size();
     }
 
@@ -338,11 +341,10 @@ inducedSubgraph(const CsrGraph &g, std::vector<NodeId> nodes,
     out.sub = CsrGraph::fromCsrArrays(std::move(rp), std::move(ci));
     out.targetLocal.reserve(targets.size());
     for (NodeId t : targets) {
-        auto local = find_local(t);
-        if (!local)
+        if (t >= n || local_of[t] == kAbsent)
             throw std::invalid_argument(
                 "inducedSubgraph: target not in node set");
-        out.targetLocal.push_back(*local);
+        out.targetLocal.push_back(local_of[t]);
     }
     out.nodes = std::move(nodes);
     return out;

@@ -365,6 +365,8 @@ std::vector<NodeId> lHopNodeSet(const CsrGraph &g,
  * Build the induced sub-CSR over `nodes` (ascending global ids, as
  * produced by lHopNodeSet) and bind `targets` (each must be in
  * `nodes`; duplicates allowed, one targetLocal entry per occurrence).
+ * O(numNodes + edges of `nodes`).
+ * @throws std::invalid_argument when a target is not in `nodes`.
  */
 LHopSubgraph inducedSubgraph(const CsrGraph &g,
                              std::vector<NodeId> nodes,

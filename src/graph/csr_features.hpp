@@ -8,9 +8,9 @@
  * same rowPtr/colIdx layout as CsrGraph plus a parallel values array,
  * living in the graph layer so datasets can build it and every
  * consumer (training, serving, accel models) shares one storage type.
- * Kernels over it (csrGather, sparseTimesDense) live in src/spmm/,
- * which also owns the dense<->sparse conversions — this header has no
- * dependency on DenseMatrix.
+ * Kernels over it (sparseTimesDense) live in src/spmm/, which also
+ * owns the dense<->sparse conversions — this header has no dependency
+ * on DenseMatrix.
  */
 
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "serve/agg_cache.hpp"
 #include "spmm/spmm.hpp"
@@ -55,31 +56,52 @@ GraphStateHub::currentEpoch() const
 }
 
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                                 Features features,
                                  std::vector<DenseMatrix> weights,
-                                 double whole_graph_fraction)
-    : hub(std::move(hub)), features(std::move(features)),
-      weights(std::move(weights)),
+                                 double whole_graph_fraction,
+                                 size_t feature_rows, size_t feature_cols)
+    : hub(std::move(hub)), weights(std::move(weights)),
       wholeGraphFraction(whole_graph_fraction)
 {
     if (!this->hub)
         throw std::invalid_argument("InferenceEngine: null hub");
     if (this->weights.empty())
         throw std::invalid_argument("InferenceEngine: no layers");
-    const auto state = this->hub->acquire();
-    if (this->features.rows() != state->graph.numNodes())
+    if (feature_rows != this->hub->acquire()->graph.numNodes())
         throw std::invalid_argument(
             "InferenceEngine: features rows != graph nodes");
+    // Checked here, not by the first batch's kernels: a batch runs on
+    // the real-time scheduler thread, where a throw terminates.
+    size_t width = feature_cols;
+    for (size_t l = 0; l < this->weights.size(); ++l) {
+        if (this->weights[l].rows() != width)
+            throw std::invalid_argument(
+                "InferenceEngine: weights[" + std::to_string(l) +
+                "] rows != its input width");
+        width = this->weights[l].cols();
+    }
 }
 
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                                 DenseMatrix features,
+                                 const Features &features,
                                  std::vector<DenseMatrix> weights,
                                  double whole_graph_fraction)
-    : InferenceEngine(std::move(hub),
-                      Features{false, std::move(features), {}},
-                      std::move(weights), whole_graph_fraction)
+    : InferenceEngine(std::move(hub), std::move(weights),
+                      whole_graph_fraction, features.rows(),
+                      features.cols())
 {
+    xw0 = features.sparse ? sparseTimesDense(features.csr, this->weights[0])
+                          : gemm(features.dense, this->weights[0]);
+}
+
+InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
+                                 const DenseMatrix &features,
+                                 std::vector<DenseMatrix> weights,
+                                 double whole_graph_fraction)
+    : InferenceEngine(std::move(hub), std::move(weights),
+                      whole_graph_fraction, features.rows(),
+                      features.cols())
+{
+    xw0 = gemm(features, this->weights[0]);
 }
 
 namespace {
@@ -122,19 +144,6 @@ gatherIslandRows(const Island &island, size_t hidden,
     return rows;
 }
 
-/** Layers past the first: identical to gcn's forwardChain tail. */
-DenseMatrix
-chainTail(const CsrMatrix &a_hat, DenseMatrix current,
-          const std::vector<DenseMatrix> &weights)
-{
-    for (size_t l = 1; l < weights.size(); ++l) {
-        reluInPlace(current);
-        DenseMatrix xw = gemm(current, weights[l]);
-        current = spmmPullRowWise(a_hat, xw);
-    }
-    return current;
-}
-
 } // namespace
 
 DenseMatrix
@@ -147,9 +156,6 @@ InferenceEngine::forwardWholeGraphCached(const GraphState &state,
     const IslandizationResult &isl = state.islands;
     const size_t hidden = weights[0].cols();
     const NodeId n = state.graph.numNodes();
-    DenseMatrix xw0 = features.sparse
-                          ? sparseTimesDense(features.csr, weights[0])
-                          : gemm(features.dense, weights[0]);
     DenseMatrix h1(n, hidden);
     std::vector<uint8_t> skip(n, 0);
     const auto identity = [](NodeId v) { return static_cast<size_t>(v); };
@@ -173,32 +179,20 @@ InferenceEngine::forwardWholeGraphCached(const GraphState &state,
                                           identity));
         info.cacheFills++;
     }
-    return chainTail(state.normAdj, std::move(h1), weights);
+    return forwardPastLayer0(state.normAdj, std::move(h1), weights);
 }
 
 DenseMatrix
 InferenceEngine::forwardSubgraphCached(const GraphState &state,
                                        const LHopSubgraph &ext,
-                                       const std::vector<float> &scale,
+                                       const CsrMatrix &a_hat,
+                                       const DenseMatrix &xw0_local,
                                        BatchExecInfo &info) const
 {
+    // Only layer-1 aggregation rows are cached; the layer-0 product
+    // comes from the engine's X W0 table, as on the uncached path.
     const IslandizationResult &isl = state.islands;
     const size_t hidden = weights[0].cols();
-
-    // Layer-0 combination runs in full — only aggregation rows are
-    // cached — exactly as the subgraphForward overloads do it.
-    DenseMatrix xw0;
-    if (features.sparse) {
-        CsrFeatures x_local = csrGather(features.csr, ext.nodes);
-        xw0 = sparseTimesDense(x_local, weights[0]);
-    } else {
-        DenseMatrix x_local(ext.nodes.size(), features.cols());
-        for (size_t l = 0; l < ext.nodes.size(); ++l)
-            std::copy_n(features.dense.row(ext.nodes[l]),
-                        features.cols(), x_local.row(l));
-        xw0 = gemm(x_local, weights[0]);
-    }
-    CsrMatrix a_hat = normalizedAdjacencyScaled(ext.sub, scale);
 
     // An island qualifies when its members AND its hub list are all
     // inside the receptive field: then every member's full global
@@ -257,14 +251,14 @@ InferenceEngine::forwardSubgraphCached(const GraphState &state,
         else
             missed.push_back(id);
     }
-    spmmPullRowWiseMasked(a_hat, xw0, skip, h1);
+    spmmPullRowWiseMasked(a_hat, xw0_local, skip, h1);
     for (uint32_t id : missed) {
         aggCache->insert(state.epoch, id,
                          gatherIslandRows(isl.islands[id], hidden, h1,
                                           local_of));
         info.cacheFills++;
     }
-    return chainTail(a_hat, std::move(h1), weights);
+    return forwardPastLayer0(a_hat, std::move(h1), weights);
 }
 
 std::vector<InferenceResult>
@@ -305,85 +299,51 @@ InferenceEngine::runBatch(std::span<const Request> batch,
     local_info.targets = static_cast<uint32_t>(targets.size());
     local_info.uniqueTargets = static_cast<uint32_t>(uniq.size());
 
-    const int hops = numLayers();
-    DenseMatrix out_rows; // row i = output of target i (request order)
     // The node set alone decides the path; the sub-CSR is only built
     // when the subgraph path is actually taken.
-    std::vector<NodeId> field = lHopNodeSet(g, uniq, hops);
+    std::vector<NodeId> field = lHopNodeSet(g, uniq, numLayers());
+    DenseMatrix out;             // forward output rows
+    std::vector<NodeId> out_row; // row of `out` per request
     if (static_cast<double>(field.size()) >=
         wholeGraphFraction * static_cast<double>(n)) {
         // Receptive field covers most of the graph: the cached
         // whole-graph A_hat is cheaper than building a sub-CSR of
         // nearly the same size.
         local_info.wholeGraph = true;
-        DenseMatrix current;
         if (aggCache) {
             aggCache->advanceTo(*state);
-            current = forwardWholeGraphCached(*state, local_info);
+            out = forwardWholeGraphCached(*state, local_info);
         } else {
-            for (size_t l = 0; l < weights.size(); ++l) {
-                // Layer 0 consumes X in whichever form it is stored;
-                // sparseTimesDense matches gemm bit-for-bit on the
-                // same logical matrix, so both forms serve identical
-                // logits.
-                DenseMatrix xw =
-                    (l == 0)
-                        ? (features.sparse
-                               ? sparseTimesDense(features.csr,
-                                                  weights[l])
-                               : gemm(features.dense, weights[l]))
-                        : gemm(current, weights[l]);
-                current = spmmPullRowWise(state->normAdj, xw);
-                if (l + 1 < weights.size())
-                    reluInPlace(current);
-            }
+            out = forwardPastLayer0(
+                state->normAdj, spmmPullRowWise(state->normAdj, xw0),
+                weights);
         }
-        out_rows = DenseMatrix(targets.size(), numClasses());
-        for (size_t i = 0; i < targets.size(); ++i)
-            std::copy_n(current.row(targets[i]), numClasses(),
-                        out_rows.row(i));
+        out_row = std::move(targets);
     } else {
-        LHopSubgraph ext = inducedSubgraph(g, std::move(field), uniq);
+        LHopSubgraph ext = inducedSubgraph(g, std::move(field), targets);
         local_info.subNodes =
             static_cast<uint32_t>(ext.nodes.size());
         local_info.subEdges = ext.sub.numEdges();
         std::vector<float> scale_local(ext.nodes.size());
-        for (size_t l = 0; l < ext.nodes.size(); ++l)
+        DenseMatrix xw0_local(ext.nodes.size(), xw0.cols());
+        for (size_t l = 0; l < ext.nodes.size(); ++l) {
             scale_local[l] = state->scale[ext.nodes[l]];
-        DenseMatrix sub_out;
+            std::copy_n(xw0.row(ext.nodes[l]), xw0.cols(),
+                        xw0_local.row(l));
+        }
+        CsrMatrix a_hat = normalizedAdjacencyScaled(ext.sub, scale_local);
         if (aggCache) {
-            // The cached chain is the same operation sequence as
-            // subgraphForward with layer-1 rows of fully-interior
-            // islands substituted (bit-identical by construction;
-            // see forwardSubgraphCached).
+            // The cached chain is the uncached one with layer-1 rows
+            // of fully-interior islands substituted (bit-identical by
+            // construction; see forwardSubgraphCached).
             aggCache->advanceTo(*state);
-            sub_out = forwardSubgraphCached(*state, ext, scale_local,
-                                            local_info);
-        } else if (features.sparse) {
-            // Gather the receptive field's feature rows in CSR form:
-            // O(field nnz) moved, never the dense rows * cols image.
-            CsrFeatures x_local = csrGather(features.csr, ext.nodes);
-            sub_out =
-                subgraphForward(ext.sub, scale_local, x_local, weights);
+            out = forwardSubgraphCached(*state, ext, a_hat, xw0_local,
+                                        local_info);
         } else {
-            DenseMatrix x_local(ext.nodes.size(), features.cols());
-            for (size_t l = 0; l < ext.nodes.size(); ++l)
-                std::copy_n(features.dense.row(ext.nodes[l]),
-                            features.cols(), x_local.row(l));
-            sub_out =
-                subgraphForward(ext.sub, scale_local, x_local, weights);
+            out = forwardPastLayer0(
+                a_hat, spmmPullRowWise(a_hat, xw0_local), weights);
         }
-        // Map each request target to its local row. ext.nodes is
-        // ascending, so a binary search suffices.
-        out_rows = DenseMatrix(targets.size(), numClasses());
-        for (size_t i = 0; i < targets.size(); ++i) {
-            const auto local = static_cast<size_t>(
-                std::lower_bound(ext.nodes.begin(), ext.nodes.end(),
-                                 targets[i]) -
-                ext.nodes.begin());
-            std::copy_n(sub_out.row(local), numClasses(),
-                        out_rows.row(i));
-        }
+        out_row = std::move(ext.targetLocal);
     }
 
     std::vector<InferenceResult> results;
@@ -396,8 +356,8 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         res.epoch = state->epoch;
         res.arrivalUs = batch[i].arrivalUs;
         res.batchSize = static_cast<uint32_t>(batch.size());
-        res.logits.assign(out_rows.row(i),
-                          out_rows.row(i) + numClasses());
+        res.logits.assign(out.row(out_row[i]),
+                          out.row(out_row[i]) + numClasses());
         results.push_back(std::move(res));
     }
     if (info)

@@ -112,24 +112,26 @@ struct BatchExecInfo
 /**
  * Micro-batched L-hop inference over the current epoch.
  *
- * A batch's receptive field is extracted with L = numLayers() hops,
- * seeded island-by-island (targets ordered by the epoch's islandOf,
- * clustering co-batched targets so overlapping neighborhoods are
- * discovered together), and run through subgraphForward with the
- * full-graph degree scaling — bit-identical to whole-graph reference
- * inference per target at any thread count. When the receptive field
- * exceeds wholeGraphFraction of the graph the engine runs the
- * whole-graph pass on the epoch's cached A_hat instead: the forward
- * would touch nearly every node either way, and the cached A_hat
- * skips the sub-CSR rebuild and row gathers.
+ * Combination runs first, as in I-GCN: features and weights never
+ * change (updates only edit edges), so the engine computes the
+ * layer-0 product X W0 once, at construction, and keeps that
+ * N x hidden table instead of X. A batch's receptive field is
+ * extracted with L = numLayers() hops, seeded island-by-island
+ * (targets ordered by the epoch's islandOf, clustering co-batched
+ * targets so overlapping neighborhoods are discovered together); its
+ * rows of the table are gathered and run through the layer chain
+ * (forwardPastLayer0) with the full-graph degree scaling. When the
+ * receptive field exceeds wholeGraphFraction of the graph the engine
+ * aggregates the whole table over the epoch's cached A_hat instead:
+ * the forward would touch nearly every node either way, and the
+ * cached A_hat skips the sub-CSR rebuild and row gathers.
  *
- * Features may be dense or CSR (Features::sparse). On the sparse
- * side the engine never densifies X: the subgraph path gathers the
- * receptive field's rows with csrGather and feeds the sparse
- * subgraphForward overload, and the whole-graph path runs
- * sparseTimesDense for layer 0 — both bit-identical to the dense
- * engine on a densified copy of the same features, at any
- * IGCN_THREADS (see sparseTimesDense).
+ * gemm and sparseTimesDense compute each output row on its own, in
+ * ascending-k order, so a table row is byte-equal to the row a
+ * per-batch layer-0 product would compute: served logits are
+ * bit-identical to whole-graph reference inference per target, for
+ * dense and CSR (Features::sparse) features alike, at any
+ * IGCN_THREADS.
  *
  * runBatch is const and thread-safe: concurrent batches and a
  * concurrent update writer interact only through the hub.
@@ -137,14 +139,20 @@ struct BatchExecInfo
 class InferenceEngine
 {
   public:
+    /**
+     * @throws std::invalid_argument on a null hub, no layers, feature
+     * rows != graph nodes, or a weight chain that does not fit the
+     * features (W0 rows != feature columns, or W[l] rows !=
+     * W[l-1] columns).
+     */
     InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                    Features features,
+                    const Features &features,
                     std::vector<DenseMatrix> weights,
                     double whole_graph_fraction = 0.5);
 
     /** Dense-feature convenience ctor (the pre-sparse API). */
     InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                    DenseMatrix features,
+                    const DenseMatrix &features,
                     std::vector<DenseMatrix> weights,
                     double whole_graph_fraction = 0.5);
 
@@ -167,16 +175,24 @@ class InferenceEngine
              BatchExecInfo *info = nullptr) const;
 
   private:
+    /** Shared by the public ctors: validates everything but X W0. */
+    InferenceEngine(std::shared_ptr<GraphStateHub> hub,
+                    std::vector<DenseMatrix> weights,
+                    double whole_graph_fraction, size_t feature_rows,
+                    size_t feature_cols);
+
     DenseMatrix forwardWholeGraphCached(const GraphState &state,
                                         BatchExecInfo &info) const;
     DenseMatrix forwardSubgraphCached(const GraphState &state,
                                       const LHopSubgraph &ext,
-                                      const std::vector<float> &scale,
+                                      const CsrMatrix &a_hat,
+                                      const DenseMatrix &xw0_local,
                                       BatchExecInfo &info) const;
 
     std::shared_ptr<GraphStateHub> hub;
-    Features features;
     std::vector<DenseMatrix> weights;
+    /** X W0 over every node (row v = node v), computed once. */
+    DenseMatrix xw0;
     double wholeGraphFraction;
     AggCache *aggCache = nullptr;
 };

@@ -41,13 +41,12 @@ ServiceModel::updateCostUs(const UpdateResult &res) const
     return static_cast<uint64_t>(std::ceil(cost));
 }
 
-Server::Server(CsrGraph g, Features features,
+Server::Server(CsrGraph g, const Features &features,
                std::vector<DenseMatrix> weights, ServerConfig cfg)
     : cfg(cfg),
       hub(std::make_shared<GraphStateHub>(
           makeGraphState(std::move(g), cfg.locator))),
-      engine(hub, std::move(features), std::move(weights),
-             cfg.wholeGraphFraction),
+      engine(hub, features, std::move(weights), cfg.wholeGraphFraction),
       applier(hub, cfg.locator)
 {
     if (cfg.aggCache.enabled) {
@@ -56,11 +55,19 @@ Server::Server(CsrGraph g, Features features,
     }
 }
 
-Server::Server(CsrGraph g, DenseMatrix features,
+Server::Server(CsrGraph g, const DenseMatrix &features,
                std::vector<DenseMatrix> weights, ServerConfig cfg)
-    : Server(std::move(g), Features{false, std::move(features), {}},
-             std::move(weights), cfg)
-{}
+    : cfg(cfg),
+      hub(std::make_shared<GraphStateHub>(
+          makeGraphState(std::move(g), cfg.locator))),
+      engine(hub, features, std::move(weights), cfg.wholeGraphFraction),
+      applier(hub, cfg.locator)
+{
+    if (cfg.aggCache.enabled) {
+        aggCachePtr = std::make_unique<AggCache>(cfg.aggCache);
+        engine.attachAggCache(aggCachePtr.get());
+    }
+}
 
 Server::~Server()
 {

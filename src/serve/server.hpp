@@ -120,11 +120,13 @@ struct SubmitOptions
 class Server
 {
   public:
-    Server(CsrGraph g, Features features,
+    /** Features are only read, to build the engine's X W0 table;
+     *  see InferenceEngine for what is validated. */
+    Server(CsrGraph g, const Features &features,
            std::vector<DenseMatrix> weights, ServerConfig cfg = {});
 
     /** Dense-feature convenience ctor (the pre-sparse API). */
-    Server(CsrGraph g, DenseMatrix features,
+    Server(CsrGraph g, const DenseMatrix &features,
            std::vector<DenseMatrix> weights, ServerConfig cfg = {});
     ~Server();
 

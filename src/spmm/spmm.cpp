@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "runtime/thread_pool.hpp"
 
@@ -314,42 +313,6 @@ csrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
     KernelRegion region("csr_transpose_times_dense");
     gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
-}
-
-CsrFeatures
-csrGather(const CsrFeatures &x, std::span<const NodeId> rows)
-{
-    for (NodeId r : rows)
-        if (r >= x.numRows)
-            throw std::out_of_range("csrGather: row " +
-                                    std::to_string(r) + " >= numRows " +
-                                    std::to_string(x.numRows));
-
-    CsrFeatures out;
-    out.numRows = static_cast<NodeId>(rows.size());
-    out.numCols = x.numCols;
-    out.rowPtr.assign(rows.size() + 1, 0);
-    for (size_t i = 0; i < rows.size(); ++i)
-        out.rowPtr[i + 1] = out.rowPtr[i] + x.rowNnz(rows[i]);
-    out.colIdx.resize(out.rowPtr.back());
-    out.values.resize(out.rowPtr.back());
-
-    // Each output row copies exactly one source row into its own
-    // prefix-summed slot: disjoint writes, so the parallel copy is
-    // race-free and trivially bit-identical at any thread count.
-    KernelRegion region("csr_gather");
-    globalPool().parallelFor(0, rows.size(),
-                             [&](int, size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-            const EdgeId src = x.rowPtr[rows[i]];
-            const EdgeId n = out.rowPtr[i + 1] - out.rowPtr[i];
-            std::copy_n(x.colIdx.data() + src, n,
-                        out.colIdx.data() + out.rowPtr[i]);
-            std::copy_n(x.values.data() + src, n,
-                        out.values.data() + out.rowPtr[i]);
-        }
-    }, /*min_per_worker=*/64);
-    return out;
 }
 
 DenseMatrix

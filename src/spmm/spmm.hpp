@@ -163,18 +163,6 @@ DenseMatrix csrTransposeTimesDense(const CsrMatrix &x,
 CsrMatrix denseToCsr(const DenseMatrix &m);
 
 /**
- * Row-extraction kernel for CSR feature matrices: output row i is a
- * structural copy of x's row rows[i] (duplicates allowed, any order).
- * This is the serving engine's per-target-set gather — the sparse
- * analogue of the dense row-copy loop that builds a micro-batch's
- * x_local. Offsets are prefix-summed sequentially, then rows are
- * copied in parallel on the runtime pool; workers own disjoint output
- * rows, so the result is bit-identical at any IGCN_THREADS.
- * @throws std::out_of_range when a requested row id >= x.numRows.
- */
-CsrFeatures csrGather(const CsrFeatures &x, std::span<const NodeId> rows);
-
-/**
  * C = X * W for CSR features X (rows x k) and dense W (k x n): the
  * sparse first-layer combination kernel. Executes as the same
  * channel-tiled race-free row gather as spmmPullRowWise and reports

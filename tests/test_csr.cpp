@@ -472,6 +472,90 @@ TEST(CsrGraph, ExtractLHopSubgraphLevels)
                  std::out_of_range);
 }
 
+/** inducedSubgraph by binary-search membership, for the differential. */
+LHopSubgraph
+bruteInducedSubgraph(const CsrGraph &g, const std::vector<NodeId> &nodes,
+                     const std::vector<NodeId> &targets)
+{
+    const auto local_of = [&nodes](NodeId v) {
+        return static_cast<NodeId>(
+            std::lower_bound(nodes.begin(), nodes.end(), v) -
+            nodes.begin());
+    };
+    std::vector<EdgeId> rp{0};
+    std::vector<NodeId> ci;
+    for (NodeId u : nodes) {
+        for (NodeId v : g.neighbors(u))
+            if (std::binary_search(nodes.begin(), nodes.end(), v))
+                ci.push_back(local_of(v));
+        rp.push_back(ci.size());
+    }
+    LHopSubgraph out;
+    out.sub = CsrGraph::fromCsrArrays(std::move(rp), std::move(ci));
+    for (NodeId t : targets)
+        out.targetLocal.push_back(local_of(t));
+    out.nodes = nodes;
+    return out;
+}
+
+TEST(CsrGraph, InducedSubgraphMatchesBinarySearchBuilder)
+{
+    const CsrGraph g =
+        hubAndIslandGraph({.numNodes = 600, .seed = 4}).graph;
+    const NodeId n = g.numNodes();
+    Rng rng(12);
+    const auto expect_same = [&g](const std::vector<NodeId> &nodes,
+                                  const std::vector<NodeId> &targets) {
+        const LHopSubgraph want = bruteInducedSubgraph(g, nodes, targets);
+        const LHopSubgraph got = inducedSubgraph(g, nodes, targets);
+        EXPECT_EQ(got.sub.rows(), want.sub.rows());
+        EXPECT_EQ(got.sub.cols(), want.sub.cols());
+        EXPECT_EQ(got.nodes, want.nodes);
+        EXPECT_EQ(got.targetLocal, want.targetLocal);
+    };
+
+    for (int trial = 0; trial < 20; ++trial) {
+        // Receptive fields of random targets, duplicates included.
+        std::vector<NodeId> targets;
+        for (int i = 0; i < 1 + trial % 6; ++i)
+            targets.push_back(static_cast<NodeId>(rng.nextBounded(n)));
+        targets.push_back(targets.front());
+        for (int hops : {0, 1, 2})
+            expect_same(lHopNodeSet(g, targets, hops), targets);
+
+        // Arbitrary ascending subsets, whatever their connectivity;
+        // the targets are drawn from the subset.
+        std::vector<NodeId> subset;
+        const double keep = 0.05 + 0.045 * trial;
+        for (NodeId v = 0; v < n; ++v)
+            if (rng.nextBool(keep))
+                subset.push_back(v);
+        std::vector<NodeId> in_subset;
+        for (int i = 0; i < 5 && !subset.empty(); ++i)
+            in_subset.push_back(
+                subset[rng.nextBounded(subset.size())]);
+        if (!in_subset.empty())
+            in_subset.push_back(in_subset.back());
+        expect_same(subset, in_subset);
+    }
+    expect_same({}, {});
+
+    // A target outside the node set is refused, whether it is a valid
+    // node id or lies past the end of the graph.
+    const std::vector<NodeId> nodes{1, 5, 9};
+    EXPECT_THROW(inducedSubgraph(g, nodes, std::vector<NodeId>{4}),
+                 std::invalid_argument);
+    EXPECT_THROW(inducedSubgraph(g, nodes, std::vector<NodeId>{n}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        inducedSubgraph(g, nodes, std::vector<NodeId>{n + 1000000}),
+        std::invalid_argument);
+    // So is a node set reaching past the end of the graph.
+    EXPECT_THROW(inducedSubgraph(g, std::vector<NodeId>{1, n},
+                                 std::vector<NodeId>{1}),
+                 std::out_of_range);
+}
+
 TEST(CsrGraph, ExtractLHopSubgraphPreservesNeighborOrder)
 {
     // On a random graph, every subgraph row must be the global row

@@ -139,6 +139,101 @@ TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
     }
 }
 
+TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
+{
+    // Pubmed-density (10%) features: the dense engine's layer-0
+    // product goes through gemm's zero-skip compaction, the CSR
+    // engine's through sparseTimesDense. Served logits must memcmp-
+    // equal the whole-graph reference on the subgraph path, on the
+    // whole-graph path and with the aggregation cache attached, at
+    // pool sizes 1 and 4.
+    Workload w = makeWorkload(1000, 48, 16, 5, 2, 13);
+    Rng rng(61);
+    w.features.fillRandomSparse(rng, 0.1, 1.0f);
+    Features dense = w.asFeatures();
+    Features csr;
+    csr.sparse = true;
+    csr.csr = denseToCsrFeatures(w.features);
+    ASSERT_GT(csr.csr.density(), 0.05);
+    ASSERT_LT(csr.csr.density(), 0.15);
+    const DenseMatrix ref = referenceForward(w.graph, dense, w.weights);
+
+    auto hub = std::make_shared<GraphStateHub>(
+        makeGraphState(w.graph, LocatorConfig{}));
+    std::vector<NodeId> targets;
+    for (int i = 0; i < 12; ++i)
+        targets.push_back(
+            static_cast<NodeId>(rng.nextBounded(w.graph.numNodes())));
+    targets[5] = targets[2]; // duplicate target
+
+    for (int threads : {1, 4}) {
+        setGlobalThreads(threads);
+        for (const Features *x : {&dense, &csr}) {
+            // wholeGraphFraction 1.1 forces the subgraph path, 0.0
+            // the whole-graph path.
+            for (double fraction : {1.1, 0.0}) {
+                for (bool cached : {false, true}) {
+                    InferenceEngine engine(hub, *x, w.weights,
+                                           fraction);
+                    AggCache cache({.enabled = true});
+                    if (cached)
+                        engine.attachAggCache(&cache);
+                    uint32_t hits = 0;
+                    // The second pass serves the islands the first
+                    // one filled.
+                    for (int pass = 0; pass < 2; ++pass) {
+                        BatchExecInfo info;
+                        auto results = engine.runBatch(
+                            inferenceBatch(targets), &info);
+                        ASSERT_EQ(results.size(), targets.size());
+                        EXPECT_EQ(info.wholeGraph, fraction == 0.0);
+                        hits += info.cacheHits;
+                        for (const InferenceResult &r : results)
+                            EXPECT_TRUE(
+                                bitEqualRow(r.logits, ref, r.node))
+                                << (x->sparse ? "csr" : "dense")
+                                << " fraction " << fraction
+                                << " cached " << cached << " threads "
+                                << threads << " node " << r.node;
+                    }
+                    if (cached) {
+                        EXPECT_GT(hits, 0u);
+                    }
+                }
+            }
+        }
+    }
+    setGlobalThreads(0);
+}
+
+TEST(ServingEngine, WeightShapeMismatchThrowsAtConstruction)
+{
+    // A weight chain that does not fit the features must be refused
+    // at construction: batches run on the real-time scheduler thread,
+    // where a shape error would terminate the process. Both breaks of
+    // the chain, for either feature form.
+    Workload w = makeWorkload(300, 24, 8, 4, 2, 3);
+    const Features x = w.asFeatures();
+    auto hub = std::make_shared<GraphStateHub>(
+        makeGraphState(w.graph, LocatorConfig{}));
+
+    std::vector<DenseMatrix> bad_w0 = w.weights;
+    bad_w0[0] = DenseMatrix(20, 8); // rows != feature columns
+    std::vector<DenseMatrix> bad_w1 = w.weights;
+    bad_w1[1] = DenseMatrix(5, 4); // rows != W0 columns
+    for (const auto *bad : {&bad_w0, &bad_w1}) {
+        EXPECT_THROW(InferenceEngine(hub, w.features, *bad),
+                     std::invalid_argument);
+        EXPECT_THROW(InferenceEngine(hub, x, *bad),
+                     std::invalid_argument);
+        EXPECT_THROW(Server(w.graph, w.features, *bad),
+                     std::invalid_argument);
+        EXPECT_THROW(Server(w.graph, x, *bad), std::invalid_argument);
+    }
+    // The well-formed chain still constructs.
+    EXPECT_NO_THROW(InferenceEngine(hub, x, w.weights));
+}
+
 // ------------------------------------------------------ criterion (b)
 
 /** Signature of one replay: per-request (epoch, logits) + batch map. */

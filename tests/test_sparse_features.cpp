@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the sparse feature path: the CsrFeatures container and
- * the csrGather / sparseTimesDense / sparseTransposeTimesDense
- * kernels. The load-bearing claims:
+ * the sparseTimesDense / sparseTransposeTimesDense kernels. The load-bearing claims:
  *
  *  (a) fromArrays validates every structural invariant, and the
  *      container handles empty rows, all-zero matrices, and explicit
@@ -212,33 +211,9 @@ TEST(SparseKernels, SparseTransposeTimesDenseMatchesDenseTranspose)
         }
 }
 
-TEST(SparseKernels, CsrGatherExtractsRowsVerbatim)
-{
-    DenseMatrix d = denseAtDensity(80, 50, 0.1, 31);
-    CsrFeatures s = denseToCsrFeatures(d);
-    // Duplicates and arbitrary order are part of the contract.
-    const std::vector<NodeId> rows{7, 0, 79, 7, 42, 42, 3};
-    CsrFeatures sub = csrGather(s, rows);
-    ASSERT_EQ(sub.numRows, rows.size());
-    EXPECT_EQ(sub.numCols, s.numCols);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        FeatureRow want = s.row(rows[i]);
-        FeatureRow got = sub.row(static_cast<NodeId>(i));
-        ASSERT_EQ(got.cols.size(), want.cols.size()) << "row " << i;
-        EXPECT_TRUE(std::equal(want.cols.begin(), want.cols.end(),
-                               got.cols.begin()));
-        EXPECT_TRUE(std::equal(want.vals.begin(), want.vals.end(),
-                               got.vals.begin()));
-    }
-    // Empty selection and out-of-range rows.
-    EXPECT_EQ(csrGather(s, {}).nnz(), 0u);
-    EXPECT_THROW(csrGather(s, std::vector<NodeId>{80}),
-                 std::out_of_range);
-}
-
 TEST(SparseKernels, BitIdenticalAcrossThreadCounts)
 {
-    // All three kernels must be exact at any IGCN_THREADS — the
+    // Both kernels must be exact at any IGCN_THREADS — the
     // serving determinism contract extends to the sparse path.
     Rng rng(13);
     Features x = makeFeatures(900, 600, 0.01, rng,
@@ -248,18 +223,12 @@ TEST(SparseKernels, BitIdenticalAcrossThreadCounts)
     w.fillRandom(wrng, 1.0f);
     DenseMatrix b(900, 16);
     b.fillRandom(wrng, 1.0f);
-    std::vector<NodeId> rows;
-    for (NodeId r = 0; r < 900; r += 3)
-        rows.push_back(r);
 
     setGlobalThreads(1);
-    const CsrFeatures gather1 = csrGather(x.csr, rows);
     const DenseMatrix xw1 = sparseTimesDense(x.csr, w);
     const DenseMatrix xtb1 = sparseTransposeTimesDense(x.csr, b);
     for (int threads : {4, 8}) {
         setGlobalThreads(threads);
-        EXPECT_EQ(csrGather(x.csr, rows), gather1)
-            << threads << " threads";
         EXPECT_TRUE(bitEqual(sparseTimesDense(x.csr, w), xw1))
             << threads << " threads";
         EXPECT_TRUE(
