@@ -413,8 +413,8 @@ main(int argc, char **argv)
 
     // --- SLO sweep: admission control on an overloaded trace ------
     // A bursty multi-tenant trace whose arrival rate far exceeds the
-    // service rate, replayed through the admission-controlled EDF
-    // path over queue cap x per-tenant qps budget x staleness bound.
+    // service rate, replayed with admission control over queue cap
+    // x per-tenant qps budget x staleness bound.
     // CI gates on this section: shedding must engage (nonzero shed)
     // while no admitted Strict-freshness request ever starts past its
     // deadline (zero by construction of drop-expired).
@@ -469,7 +469,6 @@ main(int argc, char **argv)
         for (const SloPoint &p : slo_points) {
             serve::ServerConfig sc;
             sc.scheduler.maxBatch = 32;
-            sc.slo.enabled = true;
             sc.slo.queueCap = p.queueCap;
             sc.slo.qpsBudget = p.qpsBudget;
             sc.slo.stalenessBound = p.staleness;

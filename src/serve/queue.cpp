@@ -1,6 +1,6 @@
 #include "serve/queue.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 namespace igcn::serve {
 
@@ -25,20 +25,6 @@ RequestQueue::close()
 }
 
 bool
-RequestQueue::closed() const
-{
-    MutexLock lock(mutex);
-    return isClosed;
-}
-
-size_t
-RequestQueue::size() const
-{
-    MutexLock lock(mutex);
-    return items.size();
-}
-
-bool
 RequestQueue::tryPop(Request &out)
 {
     MutexLock lock(mutex);
@@ -49,53 +35,17 @@ RequestQueue::tryPop(Request &out)
     return true;
 }
 
-RequestQueue::Pop
+bool
 RequestQueue::popHead(Request &out)
 {
     MutexLock lock(mutex);
     while (items.empty() && !isClosed)
         cv.wait(mutex);
     if (items.empty())
-        return Pop::Closed;
+        return false;
     out = std::move(items.front());
     items.pop_front();
-    return Pop::Got;
-}
-
-bool
-RequestQueue::peekHeadArrival(uint64_t &arrival_us) const
-{
-    MutexLock lock(mutex);
-    if (items.empty())
-        return false;
-    arrival_us = items.front().arrivalUs;
     return true;
-}
-
-RequestQueue::Pop
-RequestQueue::popKindBefore(RequestKind kind, uint64_t deadline_us,
-                            bool wait, const NowFn &now_us, Request &out)
-{
-    MutexLock lock(mutex);
-    for (;;) {
-        if (!items.empty()) {
-            const Request &head = items.front();
-            if (head.kind != kind || head.arrivalUs > deadline_us)
-                return Pop::NotReady;
-            out = std::move(items.front());
-            items.pop_front();
-            return Pop::Got;
-        }
-        if (isClosed)
-            return Pop::Closed;
-        if (!wait)
-            return Pop::NotReady;
-        const uint64_t now = now_us();
-        if (now >= deadline_us)
-            return Pop::NotReady;
-        cv.wait_for(mutex,
-                    std::chrono::microseconds(deadline_us - now));
-    }
 }
 
 // ------------------------------------------------------------ EdfQueue
@@ -133,6 +83,15 @@ EdfQueue::earliestArrivalUs() const
     return earliest;
 }
 
+uint64_t
+EdfQueue::minRequiredSeq() const
+{
+    uint64_t least = ~uint64_t{0};
+    for (const auto &[key, e] : pool)
+        least = std::min(least, e.requiredSeq);
+    return least;
+}
+
 bool
 EdfQueue::popEligible(uint64_t applied_seq, uint32_t staleness_bound,
                       Entry &out)
@@ -151,20 +110,18 @@ std::vector<EdfQueue::Dropped>
 EdfQueue::dropExpired(uint64_t now_us, uint64_t applied_seq,
                       uint32_t staleness_bound)
 {
+    // Keys order by deadline first (none = UINT64_MAX), so the
+    // expired entries are exactly the pool's prefix.
     std::vector<Dropped> dropped;
-    for (auto it = pool.begin(); it != pool.end();) {
-        const Request &r = it->second.req;
-        if (r.deadlineUs != 0 && r.deadlineUs < now_us) {
-            const ServeError why =
-                eligible(it->second, applied_seq, staleness_bound)
-                    ? ServeError::Expired
-                    : ServeError::ShedStale;
-            dropped.push_back({std::move(it->second), why});
-            it = pool.erase(it);
-        } else {
-            ++it;
-        }
+    auto it = pool.begin();
+    for (; it != pool.end() && it->first.deadline < now_us; ++it) {
+        const ServeError why =
+            eligible(it->second, applied_seq, staleness_bound)
+                ? ServeError::Expired
+                : ServeError::ShedStale;
+        dropped.push_back({std::move(it->second), why});
     }
+    pool.erase(pool.begin(), it);
     return dropped;
 }
 

@@ -1,28 +1,16 @@
 /**
  * @file
- * Thread-safe FCFS request queue.
+ * The serving queues: the thread-safe live hand-off from submitter
+ * threads to the scheduler thread, and the scheduler's earliest-
+ * deadline-first pool of admitted inference requests.
  *
- * The queue is strictly first-come-first-served: the scheduler only
- * ever inspects and pops the *head*, so requests can never be
- * reordered — an Update at the head closes the inference micro-batch
- * being formed, which is what gives updates their sequence-point
- * semantics (every inference request before the update in arrival
- * order is served against the pre-update epoch, everything after
- * against the post-update epoch).
- *
- * Two clock disciplines share one implementation:
- *  - virtual (replay) mode: the driver pre-loads the entire trace and
- *    closes the queue; pops never block and batching decisions are a
- *    pure function of the trace timestamps and the scheduler config;
- *  - real-time mode: arrivals are stamped by the server clock and
- *    popKindBefore blocks until the batching deadline, an eligible
- *    head, or close.
+ * Replay mode never touches RequestQueue: the driver admits straight
+ * into the SloScheduler in virtual-time order.
  */
 
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -32,62 +20,27 @@
 
 namespace igcn::serve {
 
-/** FCFS queue; see file comment for the two clock disciplines. */
+/** Thread-safe FIFO hand-off of admitted live requests. */
 class RequestQueue
 {
   public:
-    /** Clock used by real-time waits: microseconds on the server clock. */
-    using NowFn = std::function<uint64_t()>;
-
-    enum class Pop : uint8_t
-    {
-        Got,      ///< head popped into out
-        NotReady, ///< head exists but is ineligible (kind/deadline)
-        Closed,   ///< queue closed and drained
-    };
-
-    /** Append a request (FIFO) and wake waiters. */
+    /** Append a request (FIFO) and wake the waiter. */
     void push(Request r);
 
-    /** Non-blocking pop of the head, whatever its kind. */
+    /** Non-blocking pop of the head; false when empty. */
     bool tryPop(Request &out);
 
-    /** Mark end-of-stream; blocked pops return once drained. */
+    /** Mark end-of-stream; a blocked popHead returns once drained. */
     void close();
 
-    bool closed() const;
-    size_t size() const;
-
     /**
-     * Blocking pop of the head, whatever its kind: waits until a
-     * request is queued or the queue is closed and drained. Never
-     * returns NotReady.
+     * Blocking pop of the head: waits until a request is queued or
+     * the queue is closed. False when closed and drained.
      */
-    Pop popHead(Request &out);
-
-    /**
-     * Pop the head only if it is a `kind` request with arrival <=
-     * deadline_us. With wait=false (virtual mode) the decision is
-     * immediate: a missing head, a different kind, or a later arrival
-     * is NotReady. With wait=true (real-time mode) an empty queue
-     * blocks until now_us() passes deadline_us, an eligible head
-     * appears, or the queue closes; an ineligible head is NotReady
-     * immediately (it closes the batch).
-     */
-    Pop popKindBefore(RequestKind kind, uint64_t deadline_us, bool wait,
-                      const NowFn &now_us, Request &out);
-
-    /**
-     * Arrival time of the current head without popping it; false when
-     * the queue is empty. The virtual-mode scheduler uses this to
-     * dispatch a partial batch the moment its closing request (an
-     * already-queued head of the other kind) arrived, rather than
-     * charging the full batching deadline.
-     */
-    bool peekHeadArrival(uint64_t &arrival_us) const;
+    bool popHead(Request &out);
 
   private:
-    mutable Mutex mutex;
+    Mutex mutex;
     CondVar cv;
     std::deque<Request> items IGCN_GUARDED_BY(mutex);
     bool isClosed IGCN_GUARDED_BY(mutex) = false;
@@ -137,6 +90,10 @@ class EdfQueue
     /** Earliest arrival among pooled entries (pool must be
      *  non-empty). */
     uint64_t earliestArrivalUs() const;
+
+    /** Smallest requiredSeq among pooled entries — that of the
+     *  earliest-admitted one (pool must be non-empty). */
+    uint64_t minRequiredSeq() const;
 
     /**
      * Pop the EDF-first entry eligible at `applied_seq` updates

@@ -4,9 +4,9 @@
  *
  * The serving subsystem is the first request-driven execution mode of
  * the repo: node-level inference requests ("classify node v") and
- * graph-mutation requests ("add these edges") arrive on a shared FCFS
- * queue, a scheduler forms micro-batches, and the engine drives the
- * existing islandization + SpMM stack. Timestamps are microseconds on
+ * graph-mutation requests ("add these edges") share one scheduler,
+ * which forms micro-batches, and the engine drives the existing
+ * islandization + SpMM stack. Timestamps are microseconds on
  * the server clock — virtual (trace-supplied) in replay mode, a
  * steady_clock offset in real-time mode — so the same structures
  * serve both the deterministic test/replay path and live traffic.

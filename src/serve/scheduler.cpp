@@ -1,55 +1,9 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cassert>
 
 namespace igcn::serve {
-
-Scheduler::Scheduler(RequestQueue &queue, SchedulerConfig cfg,
-                     bool real_time, RequestQueue::NowFn now_us)
-    : queue(queue), cfg(cfg), realTime(real_time),
-      nowUs(std::move(now_us))
-{
-    if (realTime && !nowUs)
-        throw std::invalid_argument(
-            "Scheduler: real_time mode requires a now_us clock");
-}
-
-bool
-Scheduler::next(uint64_t not_before_us, MicroBatch &out)
-{
-    Request first;
-    if (queue.popHead(first) == RequestQueue::Pop::Closed)
-        return false;
-
-    // Continuous batching (the SloScheduler discipline): the batch
-    // starts the moment the engine and the head are both ready, and
-    // admits exactly the same-kind requests already arrived by then —
-    // no straggler wait, so under light load requests go out alone
-    // immediately and under load batches fill from the backlog.
-    const uint64_t start = std::max(not_before_us, first.arrivalUs);
-    const uint32_t cap = first.kind == RequestKind::Inference
-        ? std::max<uint32_t>(1, cfg.maxBatch)
-        : std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
-
-    out.kind = first.kind;
-    out.requests.clear();
-    out.requests.push_back(std::move(first));
-    Request r;
-    while (out.requests.size() < cap &&
-           queue.popKindBefore(out.kind, start, /*wait=*/false, nowUs,
-                               r) == RequestQueue::Pop::Got)
-        out.requests.push_back(std::move(r));
-
-    // The dispatch moment: the batch boundary is the engine-free
-    // instant itself in both clock disciplines (real-time arrivals
-    // are stamped by the same clock, so everything queued is already
-    // eligible).
-    out.formedAtUs = realTime ? nowUs() : start;
-    return true;
-}
-
-// -------------------------------------------------------- SloScheduler
 
 SloScheduler::SloScheduler(SchedulerConfig batch_cfg, SloConfig slo,
                            const FaultPlan *faults)
@@ -98,8 +52,10 @@ SloScheduler::next(uint64_t busy_until_us, Decision &out)
     EdfQueue::Entry e;
     while (out.batch.requests.size() < inf_cap &&
            inf.popEligible(applied, slo.stalenessBound, e)) {
-        out.epochsBehind.push_back(static_cast<uint32_t>(
-            e.requiredSeq > applied ? e.requiredSeq - applied : 0));
+        // Step 3 never applies past a pooled read's requiredSeq.
+        assert(e.requiredSeq >= applied);
+        out.epochsBehind.push_back(
+            static_cast<uint32_t>(e.requiredSeq - applied));
         out.batch.requests.push_back(std::move(e.req));
     }
     if (!out.batch.requests.empty()) {
@@ -111,14 +67,18 @@ SloScheduler::next(uint64_t busy_until_us, Decision &out)
 
     // 3. Update application (coalesced). Reached when no inference
     // is eligible: pool empty, or everyone is blocked on these
-    // updates.
+    // updates. Only the updates admitted before the earliest-admitted
+    // pooled read apply: a later one would overtake that read.
     if (!upd.empty()) {
-        const uint32_t upd_cap =
-            std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
+        const uint64_t limit =
+            inf.empty() ? admittedUpd : inf.minRequiredSeq();
+        const uint64_t upd_cap = std::min<uint64_t>(
+            std::max<uint32_t>(1, cfg.maxUpdateCoalesce),
+            limit - applied);
         out.kind = Decision::Kind::Update;
         out.batch.kind = RequestKind::Update;
         out.batch.formedAtUs = t;
-        while (out.batch.requests.size() < upd_cap && !upd.empty()) {
+        while (out.batch.requests.size() < upd_cap) {
             out.batch.requests.push_back(std::move(upd.front()));
             upd.pop_front();
         }

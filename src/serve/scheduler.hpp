@@ -1,30 +1,24 @@
 /**
  * @file
- * FCFS micro-batching scheduler.
+ * The serving scheduler: one continuous-batching loop (the µLLM/vLLM
+ * shape adapted to graph serving) that both the virtual-clock replay
+ * and the real-time server drive. At every engine-free instant it
+ * serves whatever is eligible — no straggler wait, so under light
+ * load requests go out alone immediately and under load batches fill
+ * from the backlog.
  *
- * Batching rule (the µLLM/vLLM continuous-batching shape adapted to
- * graph serving, same discipline as SloScheduler): pop the queue
- * head; the batch starts at start = max(engine-busy-until, head
- * arrival) and admits the same-kind requests with arrival <= start,
- * up to the kind's size cap — the batch is whatever is eligible when
- * the engine frees up, with no straggler wait. The legacy rule
- * instead held the batch open until start + maxWaitUs, taxing every
- * admitted request with the wait for stragglers even when the size
- * cap had headroom; tests/test_serving.cpp pins the differential
- * against an in-test model of that rule. A head of the other kind
- * closes the batch — FCFS order between inference and updates is
- * never violated, which is what makes per-request results
- * independent of the batch cap (an update can never jump ahead of,
- * or fall behind, an inference request it raced in arrival order).
- * Consecutive updates coalesce into one application regardless of
- * whether they add or delete edges — the applier folds the mixed
- * span into one last-write-wins net effect (the mixed-span
- * coalescing rule) — the exact batched `std::span` pattern
- * updateIslandization is tested for.
+ * Updates are sequence points: a read admitted after an update is
+ * served against an epoch that includes it (up to the bounded-
+ * staleness budget K), and an update admitted after a waiting read
+ * never applies before that read is served. With the default
+ * SloConfig (no deadlines, no admission limits, K = 0) this is plain
+ * first-come-first-served order between reads and updates, which is
+ * what makes per-request results independent of the batch cap.
  *
- * In virtual mode the decisions above are a pure function of the
- * trace timestamps and this config — the determinism contract the
- * test suite locks in across thread counts and batch caps.
+ * In virtual mode every decision is a pure function of the admitted
+ * request timestamps, this config and the fault plan — the
+ * determinism contract the test suite locks in across thread counts
+ * and batch caps.
  */
 
 #pragma once
@@ -39,11 +33,6 @@ struct SchedulerConfig
 {
     /** Inference micro-batch size cap. */
     uint32_t maxBatch = 32;
-    /** DEPRECATED — ignored. The legacy straggler-wait deadline of
-     *  the drain-then-admit rule; continuous batching admits by the
-     *  engine-free instant alone. Kept so existing configs and CLI
-     *  invocations stay valid. */
-    uint64_t maxWaitUs = 200;
     /** Consecutive update requests folded into one application. */
     uint32_t maxUpdateCoalesce = 64;
 };
@@ -57,41 +46,10 @@ struct MicroBatch
     uint64_t formedAtUs = 0;
 };
 
-/** Forms FCFS micro-batches from a RequestQueue. */
-class Scheduler
-{
-  public:
-    /**
-     * @param queue      the queue to drain
-     * @param cfg        batching knobs
-     * @param real_time  block for late arrivals (live traffic) rather
-     *                   than deciding from timestamps (trace replay)
-     * @param now_us     server clock, required when real_time
-     */
-    Scheduler(RequestQueue &queue, SchedulerConfig cfg, bool real_time,
-              RequestQueue::NowFn now_us = {});
-
-    /**
-     * Form the next micro-batch. not_before_us is the engine's
-     * busy-until time (virtual mode; pass the current clock in
-     * real-time mode) — the batch cannot start before it.
-     * @return false when the queue is closed and drained.
-     */
-    bool next(uint64_t not_before_us, MicroBatch &out);
-
-    const SchedulerConfig &config() const { return cfg; }
-
-  private:
-    RequestQueue &queue;
-    SchedulerConfig cfg;
-    bool realTime;
-    RequestQueue::NowFn nowUs;
-};
-
 /**
- * The SLO-aware scheduler core: EDF + drop-expired over admitted
- * inference requests, arrival-ordered update application, and
- * bounded-staleness interleaving.
+ * The serving scheduler: EDF + drop-expired over admitted inference
+ * requests, arrival-ordered update application, and bounded-
+ * staleness interleaving.
  *
  * Policy, applied at every engine-free moment t:
  *
@@ -103,7 +61,11 @@ class Scheduler
  *     serve an inference batch: eligible requests in EDF order, up
  *     to maxBatch.
  *  3. Otherwise, if updates are pending, apply a coalesced update
- *     batch (up to maxUpdateCoalesce).
+ *     batch: the pending updates admitted before the earliest-
+ *     admitted pooled read (every pending one when no read is
+ *     pooled), up to maxUpdateCoalesce. Consecutive updates coalesce
+ *     regardless of whether they add or delete edges — the applier
+ *     folds the mixed span into one last-write-wins net effect.
  *
  * Step 2 before step 3 is what keeps p99 flat during update bursts:
  * bounded-staleness requests keep being served from the current
@@ -112,12 +74,11 @@ class Scheduler
  * when inference goes idle. Because ineligibility implies pending
  * updates (requiredSeq counts only admitted updates), the policy
  * never deadlocks; K therefore truly bounds how far any served
- * request's epoch can lag the updates admitted before it.
- *
- * Unlike the FCFS Scheduler there is no batching wait: a batch is
- * whatever is eligible when the engine frees up (continuous
- * batching) — under load batches fill from the backlog, under light
- * load requests go out alone immediately.
+ * request's epoch can lag the updates admitted before it. Step 3's
+ * limit is the sequence-point rule: an update never overtakes a read
+ * admitted before it, so the applied sequence never passes a pooled
+ * read's requiredSeq, and K = 0 reproduces first-come-first-served
+ * order exactly.
  *
  * Single-threaded; decisions are a pure function of the admitted
  * request timestamps, the config, and the fault plan — the replay
@@ -166,11 +127,9 @@ class SloScheduler
      */
     bool next(uint64_t busy_until_us, Decision &out);
 
-    /** Tell the scheduler an update application finished (advances
-     *  the applied sequence eligibility is measured against). Called
-     *  implicitly for batches it forms. */
+    /** Updates applied so far: the sequence eligibility is measured
+     *  against. Advanced by the update batches next() forms. */
     uint64_t appliedSeq() const { return applied; }
-    uint64_t admittedUpdates() const { return admittedUpd; }
 
   private:
     SchedulerConfig cfg;

@@ -194,93 +194,8 @@ Server::traceRejection(const Rejection &rej, bool dropped)
 }
 
 void
-Server::processBatch(const MicroBatch &batch, bool real_time,
-                     uint64_t &busy_until_us)
-{
-    if (batch.kind == RequestKind::Inference) {
-        BatchExecInfo info;
-        std::vector<InferenceResult> results =
-            engine.runBatch(batch.requests, &info);
-        const auto state = hub->acquire();
-        const uint64_t done = real_time
-            ? nowUs()
-            : batch.formedAtUs +
-                cfg.service.inferenceCostUs(info,
-                                            state->graph.numNodes(),
-                                            state->graph.numEdges());
-        for (InferenceResult &r : results) {
-            r.startUs = batch.formedAtUs;
-            r.doneUs = done;
-        }
-        traceInferenceBatch(batch.formedAtUs, done, info, results,
-                            state->graph.numNodes(),
-                            state->graph.numEdges());
-        for (InferenceResult &r : results) {
-            statsAcc.recordInference(r);
-            report.inference.push_back(std::move(r));
-        }
-        statsAcc.recordInferenceBatch(info);
-        if (aggCachePtr)
-            statsAcc.recordAggCache(aggCachePtr->stats());
-        busy_until_us = done;
-    } else {
-        UpdateResult res = applier.apply(batch.requests);
-        res.startUs = batch.formedAtUs;
-        res.doneUs = real_time
-            ? nowUs()
-            : batch.formedAtUs + cfg.service.updateCostUs(res);
-        traceUpdateBatch(res);
-        statsAcc.recordUpdate(res);
-        busy_until_us = res.doneUs;
-        report.updates.push_back(std::move(res));
-    }
-}
-
-ReplayReport
-Server::runTrace(std::vector<Request> trace)
-{
-    if (running)
-        throw std::logic_error(
-            "runTrace: real-time server is running");
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrivalUs < b.arrivalUs;
-                     });
-    report = ReplayReport{};
-    statsAcc.reset(); // each run reports its own telemetry
-    if (aggCachePtr)
-        aggCachePtr->reset(); // no cross-run carry-over
-    tracer.setEnabled(cfg.obs.traceEnabled);
-    tracer.clear();
-    batchSeq = 0;
-    return cfg.slo.enabled ? runTraceSlo(std::move(trace))
-                           : runTraceFcfs(std::move(trace));
-}
-
-ReplayReport
-Server::runTraceFcfs(std::vector<Request> trace)
-{
-    RequestQueue queue;
-    for (Request &r : trace) {
-        if (tracer.enabled())
-            tracer.instant(obs::kLaneRequests, "enqueue", "serve",
-                           r.arrivalUs,
-                           {{"req", r.id}, {"tenant", r.tenant}});
-        queue.push(std::move(r));
-    }
-    queue.close();
-
-    Scheduler scheduler(queue, cfg.scheduler, /*real_time=*/false);
-    uint64_t busy = 0;
-    MicroBatch batch;
-    while (scheduler.next(busy, batch))
-        processBatch(batch, /*real_time=*/false, busy);
-    return std::move(report);
-}
-
-void
-Server::handleSloDecision(SloScheduler::Decision &d, bool real_time,
-                          uint64_t &busy_until_us)
+Server::handleDecision(SloScheduler::Decision &d, bool real_time,
+                       uint64_t &busy_until_us)
 {
     for (EdfQueue::Dropped &drop : d.dropped) {
         const Rejection rej{drop.entry.req.id, drop.entry.req.tenant,
@@ -340,8 +255,23 @@ Server::handleSloDecision(SloScheduler::Decision &d, bool real_time,
 }
 
 ReplayReport
-Server::runTraceSlo(std::vector<Request> trace)
+Server::runTrace(std::vector<Request> trace)
 {
+    if (running)
+        throw std::logic_error(
+            "runTrace: real-time server is running");
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrivalUs < b.arrivalUs;
+                     });
+    report = ReplayReport{};
+    statsAcc.reset(); // each run reports its own telemetry
+    if (aggCachePtr)
+        aggCachePtr->reset(); // no cross-run carry-over
+    tracer.setEnabled(cfg.obs.traceEnabled);
+    tracer.clear();
+    batchSeq = 0;
+
     // Fault injection first: trace-shape faults (update delays,
     // burst arrivals) are a deterministic rewrite of the trace.
     cfg.faults.applyToTrace(trace);
@@ -391,36 +321,25 @@ Server::runTraceSlo(std::vector<Request> trace)
         }
         SloScheduler::Decision d;
         sched.next(busy, d);
-        handleSloDecision(d, /*real_time=*/false, busy);
+        handleDecision(d, /*real_time=*/false, busy);
     }
     return std::move(report);
 }
 
 void
-Server::realTimeLoopFcfs()
-{
-    Scheduler scheduler(liveQueue, cfg.scheduler,
-                        /*real_time=*/true,
-                        [this] { return nowUs(); });
-    MicroBatch batch;
-    uint64_t busy = 0;
-    while (scheduler.next(nowUs(), batch))
-        processBatch(batch, /*real_time=*/true, busy);
-}
-
-void
-Server::realTimeLoopSlo()
+Server::realTimeLoop()
 {
     // Continuous batching against the live clock: admitted requests
-    // drain from the arrival queue into the EDF pools, and every
-    // engine-free moment serves whatever is eligible. Admission
-    // already happened on the submitter threads.
+    // drain from the hand-off queue into the scheduler's pools, and
+    // every engine-free moment serves whatever is eligible. Admission
+    // already happened on the submitter threads. The loop ends once
+    // the queue is closed and everything pooled has been served.
     SloScheduler sched(cfg.scheduler, cfg.slo, &cfg.faults);
     uint64_t busy = 0;
     Request r;
     for (;;) {
         if (sched.empty()) {
-            if (liveQueue.popHead(r) == RequestQueue::Pop::Closed)
+            if (!liveQueue.popHead(r))
                 break;
             sched.admit(std::move(r));
         }
@@ -428,12 +347,8 @@ Server::realTimeLoopSlo()
             sched.admit(std::move(r));
         SloScheduler::Decision d;
         if (sched.next(nowUs(), d))
-            handleSloDecision(d, /*real_time=*/true, busy);
+            handleDecision(d, /*real_time=*/true, busy);
     }
-    // Queue closed: drain what is still pooled.
-    SloScheduler::Decision d;
-    while (sched.next(nowUs(), d))
-        handleSloDecision(d, /*real_time=*/true, busy);
 }
 
 void
@@ -460,12 +375,7 @@ Server::start()
     }
     // Service thread, see server.hpp.
     // igcn-lint: allow(no-thread-outside-runtime)
-    schedulerThread = std::thread([this] {
-        if (cfg.slo.enabled)
-            realTimeLoopSlo();
-        else
-            realTimeLoopFcfs();
-    });
+    schedulerThread = std::thread([this] { realTimeLoop(); });
 }
 
 ServeResult
@@ -478,24 +388,21 @@ Server::submitRequest(Request r)
         r.deadlineUs += r.arrivalUs; // relative -> absolute
     ServeResult out;
     out.id = r.id;
-    if (cfg.slo.enabled) {
-        const size_t depth = waitingCount.load();
-        out.error = liveAdmission.tryAdmit(r, depth);
-        if (out.error != ServeError::None) {
-            const Rejection rej{r.id, r.tenant, r.kind, out.error,
-                                r.arrivalUs};
-            traceRejection(rej, /*dropped=*/false);
-            liveRejections.push_back(rej);
-            return out;
-        }
-        liveAdmittedTenants.push_back(r.tenant);
-        liveMaxDepth = std::max(liveMaxDepth,
-                                static_cast<uint64_t>(depth + 1));
-        waitingCount.fetch_add(1);
+    const size_t depth = waitingCount.load();
+    out.error = liveAdmission.tryAdmit(r, depth);
+    if (out.error != ServeError::None) {
+        const Rejection rej{r.id, r.tenant, r.kind, out.error,
+                            r.arrivalUs};
+        traceRejection(rej, /*dropped=*/false);
+        liveRejections.push_back(rej);
+        return out;
     }
+    liveAdmittedTenants.push_back(r.tenant);
+    liveMaxDepth =
+        std::max(liveMaxDepth, static_cast<uint64_t>(depth + 1));
+    waitingCount.fetch_add(1);
     if (tracer.enabled())
-        tracer.instant(obs::kLaneRequests,
-                       cfg.slo.enabled ? "admit" : "enqueue", "serve",
+        tracer.instant(obs::kLaneRequests, "admit", "serve",
                        r.arrivalUs,
                        {{"req", r.id}, {"tenant", r.tenant}});
     liveQueue.push(std::move(r));

@@ -1,24 +1,26 @@
 /**
  * @file
- * The online inference server: queue -> FCFS scheduler -> micro-
- * batched L-hop inference engine, with updates interleaved as graph
- * epochs (see DESIGN.md section 4).
+ * The online inference server: admission -> SloScheduler (one
+ * continuous-batching loop) -> micro-batched L-hop inference engine,
+ * with updates interleaved as graph epochs (see DESIGN.md sections 4
+ * and 5).
  *
  * Two execution modes share every component:
  *
  *  - **Virtual-clock replay** (runTrace): the trace supplies arrival
  *    timestamps, batch formation is a pure function of those
- *    timestamps and the scheduler config, and completion times come
- *    from a deterministic service-cost model — so results, epochs,
- *    batch composition, and every latency number are bit-reproducible
+ *    timestamps and the config, and completion times come from a
+ *    deterministic service-cost model — so results, epochs, batch
+ *    composition, and every latency number are bit-reproducible
  *    across runs and IGCN_THREADS settings (the kernels underneath
  *    are bit-identical at any thread count). This is the testing and
  *    benchmarking contract.
  *
  *  - **Real-time serving** (start / submit / stop): producers submit
- *    requests stamped with the live server clock; a scheduler thread
- *    forms batches with real deadline waits and measures wall-clock
- *    latencies. Same queue, scheduler, engine, and applier.
+ *    requests stamped with the live server clock and admitted on
+ *    their own thread; a scheduler thread drains them from the
+ *    RequestQueue hand-off into the same scheduler and measures
+ *    wall-clock latencies. Same scheduler, engine, and applier.
  */
 
 #pragma once
@@ -85,7 +87,7 @@ struct ServerConfig
     /** Receptive-field fraction above which the engine goes whole-graph. */
     double wholeGraphFraction = 0.5;
     /** SLO layer: admission control, EDF + drop-expired, bounded
-     *  staleness. Disabled by default (legacy FCFS serving). */
+     *  staleness. The default sets no limits (see SloConfig). */
     SloConfig slo;
     /** Deterministic fault-injection plan (replay mode). */
     FaultPlan faults;
@@ -102,7 +104,8 @@ struct ReplayReport
     std::vector<InferenceResult> inference;
     std::vector<UpdateResult> updates;
     /** Refused requests (admission rejections and deadline drops),
-     *  in decision order. Empty when the SLO layer is disabled. */
+     *  in decision order. Empty when no SLO limit is set and no
+     *  request carries a deadline. */
     std::vector<Rejection> rejections;
 };
 
@@ -163,14 +166,9 @@ class Server
     uint64_t currentEpoch() const { return hub->currentEpoch(); }
 
   private:
-    void processBatch(const MicroBatch &batch, bool real_time,
-                      uint64_t &busy_until_us);
-    ReplayReport runTraceFcfs(std::vector<Request> trace);
-    ReplayReport runTraceSlo(std::vector<Request> trace);
-    void handleSloDecision(SloScheduler::Decision &d, bool real_time,
-                           uint64_t &busy_until_us);
-    void realTimeLoopFcfs();
-    void realTimeLoopSlo();
+    void handleDecision(SloScheduler::Decision &d, bool real_time,
+                        uint64_t &busy_until_us);
+    void realTimeLoop();
     [[nodiscard]] ServeResult submitRequest(Request r);
     uint64_t nowUs() const;
 

@@ -41,8 +41,6 @@ TokenBucket::available(uint64_t now_us) const
 ServeError
 AdmissionController::tryAdmit(const Request &r, size_t queue_depth)
 {
-    if (!cfg.enabled)
-        return ServeError::None;
     if (r.kind == RequestKind::Inference && cfg.qpsBudget > 0.0) {
         auto [it, inserted] = buckets.try_emplace(
             r.tenant, cfg.qpsBudget, cfg.burstTokens);

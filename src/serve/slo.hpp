@@ -1,15 +1,16 @@
 /**
  * @file
- * SLO machinery for the serving subsystem: per-tenant token-bucket
- * admission control with a bounded queue, and the deterministic
- * fault-injection plan.
+ * SLO machinery for the serving subsystem: the scheduler's SLO knobs,
+ * per-tenant token-bucket admission control with a bounded queue, and
+ * the deterministic fault-injection plan.
  *
  * Admission happens at the serving boundary, *before* a request is
  * enqueued: an over-budget submission is Rejected and an
  * over-capacity one Overloaded — refused immediately with a typed
  * ServeError, never queued. That is what bounds queue memory under
- * overload: the queue can hold at most `queueCap` waiting requests
- * no matter how fast arrivals come.
+ * overload: with a `queueCap`, the queue holds at most that many
+ * waiting requests no matter how fast arrivals come. The default
+ * SloConfig sets no limit, so every request is admitted.
  *
  * Everything here is a pure function of integer virtual-clock
  * timestamps (token refill included: the bucket state after an
@@ -28,19 +29,17 @@
 
 namespace igcn::serve {
 
-/** SLO / robustness knobs. Default-constructed = all off (legacy
- *  FCFS serving, unbounded queue, no shedding). */
+/** SLO / robustness knobs. Default-constructed = no limits: every
+ *  request is admitted, and with no deadlines and K = 0 reads and
+ *  updates are served first-come-first-served. */
 struct SloConfig
 {
-    /** Master switch: enables admission control, EDF ordering,
-     *  drop-expired, and bounded-staleness reads. */
-    bool enabled = false;
     /**
      * Bounded queue: maximum number of admitted requests waiting
      * (inference + updates). A submission finding the queue full is
      * refused with ServeError::Overloaded. 0 = unbounded.
      */
-    uint32_t queueCap = 1024;
+    uint32_t queueCap = 0;
     /**
      * Per-tenant token-bucket rate in requests per second; applies
      * to inference traffic (updates are system traffic and are
@@ -53,7 +52,7 @@ struct SloConfig
      * Bounded staleness K: a Freshness::Bounded inference request
      * may be served from an epoch at most K *update requests* behind
      * the freshest state admitted before it. 0 = every update is a
-     * hard sequence point for everyone (the pre-SLO semantics).
+     * hard sequence point for everyone.
      * Freshness::Strict requests always behave as if K were 0.
      */
     uint32_t stalenessBound = 0;

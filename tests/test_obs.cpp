@@ -459,7 +459,7 @@ TEST(ObsDifferential, ReplayTraceBytesIdenticalAcrossThreadCounts)
     EXPECT_TRUE(jsonBalanced(want.first));
     // The stream contains the full lifecycle vocabulary.
     for (const char *needle :
-         {"enqueue", "infer-batch", "gather", "layer0", "layer1",
+         {"admit", "infer-batch", "gather", "layer0", "layer1",
           "respond", "update-batch", "coalesce", "edit-edges",
           "islandize", "publish-epoch"})
         EXPECT_NE(want.first.find(needle), std::string::npos)
@@ -506,7 +506,6 @@ TEST(ObsDifferential, SloReplayWithShedsBytesIdentical)
     sc.service.perTargetUs = 0.0;
     sc.service.perSubNodeUs = 0.0;
     sc.service.perSubEdgeUs = 0.0;
-    sc.slo.enabled = true;
     sc.slo.queueCap = 16;
 
     setGlobalThreads(1);

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -377,6 +379,104 @@ TEST(ServingReplay, PerRequestResultsInvariantAcrossBatchCaps)
             EXPECT_EQ(sigs[i].updateEpochs[e],
                       sigs[i].updateEpochs[e - 1] + 1);
     }
+}
+
+/**
+ * FNV-1a over a stream of integers, fed least-significant byte first
+ * so the hash is independent of struct padding and host byte order.
+ */
+class Fnv1a
+{
+  public:
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    uint64_t value() const { return h; }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ull;
+};
+
+/** Fingerprint of everything a replay served, in dispatch order. */
+void
+addReport(Fnv1a &f, const ReplayReport &rep)
+{
+    f.add(rep.inference.size());
+    for (const InferenceResult &r : rep.inference) {
+        for (uint64_t v :
+             {r.id, r.epoch, r.startUs, r.doneUs, uint64_t{r.batchSize}})
+            f.add(v);
+        f.add(r.logits.size());
+        for (float x : r.logits)
+            f.add(std::bit_cast<uint32_t>(x));
+    }
+    f.add(rep.updates.size());
+    for (const UpdateResult &u : rep.updates)
+        for (uint64_t v :
+             {u.epoch, uint64_t{u.coalesced}, u.startUs, u.doneUs})
+            f.add(v);
+}
+
+TEST(ServingReplay, DefaultConfigMatchesGoldenFingerprint)
+{
+    // The default ServerConfig's full served stream — per-request
+    // epoch, logit bytes, start/done and batch size, and every update
+    // application's epoch, coalesced count and start/done — over a
+    // loaded grid where updates race reads: gaps of 5 and 1us, update
+    // rates of 10/20/50 per 100 reads, batch caps 1/4/32, strict
+    // shares 0 and 0.5. Recorded from the first-come-first-served
+    // scheduler the single scheduler replaced: an update is a hard
+    // sequence point, so a read admitted after an update never runs
+    // before it, and an update admitted after a waiting read never
+    // applies before that read is served. One fingerprint per
+    // (gap, rate) row, covering its six (cap, strict share) replays.
+    // Served results are thread-count-invariant (pinned above); one
+    // thread spares these tiny batches the pool's wake-ups.
+    setGlobalThreads(1);
+    Workload w = makeWorkload(400, 16, 12, 6, 2, 9);
+    const double kGaps[] = {5.0, 1.0};
+    const double kRates[] = {0.1, 0.2, 0.5};
+    const uint64_t kGolden[2][3] = {
+        {0xd553c7e6b1f74ce6ull, 0x423f624d7b4a3107ull,
+         0xbe78955c8778f2d7ull},
+        {0xd69b007d367e358eull, 0x1eb896a7621fc265ull,
+         0x77d6650921b36f3full},
+    };
+    for (size_t g = 0; g < 2; ++g) {
+        for (size_t u = 0; u < 3; ++u) {
+            Fnv1a f;
+            for (uint32_t cap : {1u, 4u, 32u}) {
+                for (double strict : {0.0, 0.5}) {
+                    TraceConfig tc;
+                    tc.numInference = 200;
+                    tc.numUpdates =
+                        static_cast<uint64_t>(200 * kRates[u]);
+                    tc.meanGapUs = kGaps[g];
+                    tc.removeFraction = 0.5;
+                    tc.strictFraction = strict;
+                    tc.seed = 11;
+                    ServerConfig sc;
+                    sc.scheduler.maxBatch = cap;
+                    Server server(w.graph, w.features, w.weights, sc);
+                    addReport(f, server.runTrace(
+                                     makeSyntheticTrace(w.graph, tc)));
+                }
+            }
+            char hex[19];
+            std::snprintf(hex, sizeof hex, "%#018llx",
+                          static_cast<unsigned long long>(f.value()));
+            EXPECT_EQ(f.value(), kGolden[g][u])
+                << "gap " << kGaps[g] << "us, rate " << kRates[u]
+                << ": got " << hex;
+        }
+    }
+    setGlobalThreads(0);
 }
 
 // --------------------------------------- aggregation cache (tentpole)
@@ -793,9 +893,7 @@ TEST(ServingConcurrency, InterleavedUpdatesNeverTearReads)
 TEST(ServingConcurrency, RealTimeServerServesAndDrains)
 {
     Workload w = makeWorkload(400, 12, 10, 5, 2, 29);
-    ServerConfig sc;
-    sc.scheduler.maxWaitUs = 500;
-    Server server(w.graph, w.features, w.weights, sc);
+    Server server(w.graph, w.features, w.weights, ServerConfig{});
     server.start();
 
     constexpr int kProducers = 2;
@@ -855,20 +953,54 @@ req(uint64_t id, uint64_t arrival_us, RequestKind kind,
     return r;
 }
 
-std::vector<std::vector<uint64_t>>
-batchIds(RequestQueue &queue, const SchedulerConfig &cfg)
+/** One scheduled batch: kind, request ids and dispatch time. */
+struct ModelBatch
 {
-    Scheduler sched(queue, cfg, /*real_time=*/false);
-    std::vector<std::vector<uint64_t>> out;
-    MicroBatch b;
+    RequestKind kind;
+    std::vector<uint64_t> ids;
+    uint64_t formedAtUs = 0;
+
+    bool operator==(const ModelBatch &) const = default;
+};
+
+/**
+ * Drive an SloScheduler with the default SloConfig over arrival-
+ * sorted requests the way Server::runTrace does: before each decision,
+ * admit every request arrived by the next dispatch time. Each batch
+ * keeps the engine busy for service_us after its dispatch.
+ */
+std::vector<ModelBatch>
+scheduleTrace(const std::vector<Request> &reqs, const SchedulerConfig &cfg,
+              uint64_t service_us = 0)
+{
+    SloScheduler sched(cfg, SloConfig{});
+    std::vector<ModelBatch> out;
     uint64_t busy = 0;
-    while (sched.next(busy, b)) {
-        std::vector<uint64_t> ids;
-        for (const Request &r : b.requests)
-            ids.push_back(r.id);
-        out.push_back(std::move(ids));
-        busy = b.formedAtUs; // zero service time: dispatch = done
+    size_t i = 0;
+    while (i < reqs.size() || !sched.empty()) {
+        if (i < reqs.size() &&
+            (sched.empty() ||
+             reqs[i].arrivalUs <= sched.nextDispatchTimeUs(busy))) {
+            sched.admit(reqs[i++]);
+            continue;
+        }
+        SloScheduler::Decision d;
+        sched.next(busy, d);
+        ModelBatch m{d.batch.kind, {}, d.batch.formedAtUs};
+        for (const Request &r : d.batch.requests)
+            m.ids.push_back(r.id);
+        busy = d.batch.formedAtUs + service_us;
+        out.push_back(std::move(m));
     }
+    return out;
+}
+
+std::vector<std::vector<uint64_t>>
+batchIds(const std::vector<Request> &reqs, const SchedulerConfig &cfg)
+{
+    std::vector<std::vector<uint64_t>> out;
+    for (ModelBatch &b : scheduleTrace(reqs, cfg))
+        out.push_back(std::move(b.ids));
     return out;
 }
 
@@ -877,18 +1009,15 @@ TEST(ServingScheduler, FcfsContinuousBatchingRules)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
 
-    RequestQueue q;
     // A burst at t=0; two same-instant arrivals later; an update; a
     // trailing inference request.
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 0, RequestKind::Inference));
-    q.push(req(2, 500, RequestKind::Inference));
-    q.push(req(3, 500, RequestKind::Inference));
-    q.push(req(4, 520, RequestKind::Update));
-    q.push(req(5, 530, RequestKind::Inference));
-    q.close();
-
-    auto batches = batchIds(q, cfg);
+    auto batches = batchIds({req(0, 0, RequestKind::Inference),
+                             req(1, 0, RequestKind::Inference),
+                             req(2, 500, RequestKind::Inference),
+                             req(3, 500, RequestKind::Inference),
+                             req(4, 520, RequestKind::Update),
+                             req(5, 530, RequestKind::Inference)},
+                            cfg);
     ASSERT_EQ(batches.size(), 4u);
     // Everything already arrived at the dispatch instant joins; a
     // later arrival (or the update's kind boundary) never does.
@@ -902,23 +1031,15 @@ TEST(ServingScheduler, DispatchesAtEngineFreeInstantWithoutStragglerWait)
 {
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
-    cfg.maxWaitUs = 100; // deprecated: must have no effect
 
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 500, RequestKind::Inference));
-    q.push(req(2, 520, RequestKind::Update));
-    q.push(req(3, 530, RequestKind::Inference));
-    q.close();
-
-    Scheduler sched(q, cfg, /*real_time=*/false);
     std::vector<uint64_t> formed;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
+    for (const ModelBatch &b :
+         scheduleTrace({req(0, 0, RequestKind::Inference),
+                        req(1, 500, RequestKind::Inference),
+                        req(2, 520, RequestKind::Update),
+                        req(3, 530, RequestKind::Inference)},
+                       cfg))
         formed.push_back(b.formedAtUs);
-        busy = b.formedAtUs;
-    }
     ASSERT_EQ(formed.size(), 4u);
     // Every batch leaves the moment engine and head are both ready —
     // the legacy rule would have charged request 0 the full 100us
@@ -937,45 +1058,30 @@ TEST(ServingScheduler, AdmitsBacklogAtBusyHorizon)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
 
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 20, RequestKind::Inference));  // arrives mid-service
-    q.push(req(2, 50, RequestKind::Inference));  // arrives mid-service
-    q.push(req(3, 120, RequestKind::Inference)); // arrives after free
-    q.close();
-
-    Scheduler sched(q, cfg, /*real_time=*/false);
-    std::vector<std::vector<uint64_t>> batches;
-    std::vector<uint64_t> formed;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
-        std::vector<uint64_t> ids;
-        for (const Request &r : b.requests)
-            ids.push_back(r.id);
-        batches.push_back(std::move(ids));
-        formed.push_back(b.formedAtUs);
-        busy = b.formedAtUs + 100; // 100us service per batch
-    }
+    const std::vector<ModelBatch> batches = scheduleTrace(
+        {req(0, 0, RequestKind::Inference),
+         req(1, 20, RequestKind::Inference),   // arrives mid-service
+         req(2, 50, RequestKind::Inference),   // arrives mid-service
+         req(3, 120, RequestKind::Inference)}, // arrives after free
+        cfg, /*service_us=*/100);
     ASSERT_EQ(batches.size(), 3u);
-    EXPECT_EQ(batches[0], (std::vector<uint64_t>{0}));
+    EXPECT_EQ(batches[0].ids, (std::vector<uint64_t>{0}));
     // 1 and 2 arrived during batch 0's service: both board at the
     // t=100 busy horizon; 3 (not yet arrived) does not.
-    EXPECT_EQ(batches[1], (std::vector<uint64_t>{1, 2}));
-    EXPECT_EQ(formed[1], 100u);
-    EXPECT_EQ(batches[2], (std::vector<uint64_t>{3}));
-    EXPECT_EQ(formed[2], 200u);
+    EXPECT_EQ(batches[1].ids, (std::vector<uint64_t>{1, 2}));
+    EXPECT_EQ(batches[1].formedAtUs, 100u);
+    EXPECT_EQ(batches[2].ids, (std::vector<uint64_t>{3}));
+    EXPECT_EQ(batches[2].formedAtUs, 200u);
 }
 
 TEST(ServingScheduler, BatchCapOneYieldsSingletons)
 {
     SchedulerConfig cfg;
     cfg.maxBatch = 1;
-    RequestQueue q;
+    std::vector<Request> reqs;
     for (uint64_t i = 0; i < 5; ++i)
-        q.push(req(i, i, RequestKind::Inference));
-    q.close();
-    auto batches = batchIds(q, cfg);
+        reqs.push_back(req(i, i, RequestKind::Inference));
+    auto batches = batchIds(reqs, cfg);
     ASSERT_EQ(batches.size(), 5u);
     for (uint64_t i = 0; i < 5; ++i)
         EXPECT_EQ(batches[i], std::vector<uint64_t>{i});
@@ -986,12 +1092,10 @@ TEST(ServingScheduler, ConsecutiveUpdatesCoalesce)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
     cfg.maxUpdateCoalesce = 2;
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Update));
-    q.push(req(1, 0, RequestKind::Update));
-    q.push(req(2, 0, RequestKind::Update));
-    q.close();
-    auto batches = batchIds(q, cfg);
+    auto batches = batchIds({req(0, 0, RequestKind::Update),
+                             req(1, 0, RequestKind::Update),
+                             req(2, 0, RequestKind::Update)},
+                            cfg);
     // Cap 2: first application coalesces {0, 1}, then {2}.
     ASSERT_EQ(batches.size(), 2u);
     EXPECT_EQ(batches[0], (std::vector<uint64_t>{0, 1}));
@@ -1000,19 +1104,12 @@ TEST(ServingScheduler, ConsecutiveUpdatesCoalesce)
 
 /**
  * In-test model of the legacy drain-then-admit rule: same-kind
- * requests with arrival <= start + maxWaitUs joined (a straggler
- * window), and a partial batch's dispatch time was the closing
- * request's arrival or the full deadline. Kept here, not in the
- * scheduler, as the differential baseline.
+ * requests with arrival <= start + kLegacyMaxWaitUs joined (a
+ * straggler window), and a partial batch's dispatch time was the
+ * closing request's arrival or the full deadline. Kept here, not in
+ * the scheduler, as the differential baseline.
  */
-struct ModelBatch
-{
-    RequestKind kind;
-    std::vector<uint64_t> ids;
-    uint64_t formedAtUs = 0;
-
-    bool operator==(const ModelBatch &) const = default;
-};
+constexpr uint64_t kLegacyMaxWaitUs = 100;
 
 std::vector<ModelBatch>
 legacyRuleBatches(std::deque<Request> q, const SchedulerConfig &cfg)
@@ -1023,7 +1120,7 @@ legacyRuleBatches(std::deque<Request> q, const SchedulerConfig &cfg)
         Request first = std::move(q.front());
         q.pop_front();
         const uint64_t start = std::max(busy, first.arrivalUs);
-        const uint64_t deadline = start + cfg.maxWaitUs;
+        const uint64_t deadline = start + kLegacyMaxWaitUs;
         const uint32_t cap = first.kind == RequestKind::Inference
             ? std::max<uint32_t>(1, cfg.maxBatch)
             : std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
@@ -1042,30 +1139,8 @@ legacyRuleBatches(std::deque<Request> q, const SchedulerConfig &cfg)
             b.formedAtUs =
                 std::max(start, std::min(deadline,
                                          q.front().arrivalUs));
-        busy = b.formedAtUs; // zero service time, like batchIds
+        busy = b.formedAtUs; // zero service time, like scheduleTrace
         out.push_back(std::move(b));
-    }
-    return out;
-}
-
-std::vector<ModelBatch>
-newRuleBatches(const std::vector<Request> &reqs,
-               const SchedulerConfig &cfg)
-{
-    RequestQueue q;
-    for (const Request &r : reqs)
-        q.push(r);
-    q.close();
-    Scheduler sched(q, cfg, /*real_time=*/false);
-    std::vector<ModelBatch> out;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
-        ModelBatch m{b.kind, {}, b.formedAtUs};
-        for (const Request &r : b.requests)
-            m.ids.push_back(r.id);
-        busy = b.formedAtUs;
-        out.push_back(std::move(m));
     }
     return out;
 }
@@ -1081,7 +1156,6 @@ TEST(ServingScheduler, DifferentialAgainstLegacyRuleOnCoincidenceTrace)
     SchedulerConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxUpdateCoalesce = 2;
-    cfg.maxWaitUs = 100;
 
     std::vector<Request> burst;
     uint64_t id = 0;
@@ -1098,7 +1172,7 @@ TEST(ServingScheduler, DifferentialAgainstLegacyRuleOnCoincidenceTrace)
 
     const auto legacy = legacyRuleBatches(
         {burst.begin(), burst.end()}, cfg);
-    const auto current = newRuleBatches(burst, cfg);
+    const auto current = scheduleTrace(burst, cfg);
     EXPECT_EQ(legacy, current);
 
     // Divergence pin: one straggler inside the legacy window. The
@@ -1110,7 +1184,7 @@ TEST(ServingScheduler, DifferentialAgainstLegacyRuleOnCoincidenceTrace)
     straggler.push_back(req(1, 40, RequestKind::Inference));
     const auto legacy2 = legacyRuleBatches(
         {straggler.begin(), straggler.end()}, cfg);
-    const auto current2 = newRuleBatches(straggler, cfg);
+    const auto current2 = scheduleTrace(straggler, cfg);
     ASSERT_EQ(legacy2.size(), 1u);
     EXPECT_EQ(legacy2[0].ids, (std::vector<uint64_t>{0, 1}));
     EXPECT_EQ(legacy2[0].formedAtUs, 40u);

@@ -133,7 +133,6 @@ TEST(SloTokenBucket, RefillIsPureFunctionOfTimestamps)
 TEST(SloAdmission, BudgetThenCapacityTyped)
 {
     SloConfig cfg;
-    cfg.enabled = true;
     cfg.qpsBudget = 1000.0;
     cfg.burstTokens = 1.0;
     cfg.queueCap = 2;
@@ -211,7 +210,6 @@ TEST(SloScheduler, BoundedStalenessServesStaleStrictWaits)
     SchedulerConfig bc;
     bc.maxBatch = 8;
     SloConfig slo;
-    slo.enabled = true;
     slo.stalenessBound = 2;
     SloScheduler sched(bc, slo);
 
@@ -248,7 +246,6 @@ TEST(SloScheduler, StalenessBoundForcesUpdatesWhenExceeded)
 {
     SchedulerConfig bc;
     SloConfig slo;
-    slo.enabled = true;
     slo.stalenessBound = 2;
     SloScheduler sched(bc, slo);
 
@@ -265,6 +262,39 @@ TEST(SloScheduler, StalenessBoundForcesUpdatesWhenExceeded)
     ASSERT_TRUE(sched.next(0, d));
     ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Inference);
     EXPECT_EQ(d.epochsBehind, (std::vector<uint32_t>{0}));
+}
+
+TEST(SloScheduler, UpdateNeverOvertakesAnEarlierAdmittedRead)
+{
+    // The sequence-point rule at K=0: an update batch coalesces only
+    // the updates admitted before the earliest-admitted pooled read,
+    // so U1 (admitted after I1) cannot ride along with U0. Ids 0-3
+    // are U0, I1, U1, I2, all arrived by t=0.
+    SloScheduler sched(SchedulerConfig{}, SloConfig{});
+    sched.admit(upd(0, 0));
+    sched.admit(inf(1, 0));
+    sched.admit(upd(2, 0));
+    sched.admit(inf(3, 0));
+
+    using Kind = SloScheduler::Decision::Kind;
+    std::vector<std::pair<Kind, std::vector<uint64_t>>> steps;
+    SloScheduler::Decision d;
+    while (sched.next(0, d)) {
+        std::vector<uint64_t> ids;
+        for (const Request &r : d.batch.requests)
+            ids.push_back(r.id);
+        steps.emplace_back(d.kind, std::move(ids));
+        // Every read is served fully fresh.
+        for (uint32_t behind : d.epochsBehind)
+            EXPECT_EQ(behind, 0u);
+    }
+    const std::vector<std::pair<Kind, std::vector<uint64_t>>> want = {
+        {Kind::Update, {0}},
+        {Kind::Inference, {1}},
+        {Kind::Update, {2}},
+        {Kind::Inference, {3}},
+    };
+    EXPECT_EQ(steps, want);
 }
 
 // ------------------------------------------------------ criterion (d)
@@ -320,7 +350,6 @@ TEST(SloReplay, DecisionsBitIdenticalAcrossThreadsAndQueueCaps)
     for (uint32_t cap : {16u, 64u, 256u}) {
         ServerConfig sc;
         sc.scheduler.maxBatch = 8;
-        sc.slo.enabled = true;
         sc.slo.queueCap = cap;
         sc.slo.qpsBudget = 30000.0;
         sc.slo.stalenessBound = 4;
@@ -355,7 +384,6 @@ TEST(SloReplay, ServedResultsBitIdenticalToFreshReference)
     tc.meanGapUs = 400.0;
     tc.seed = 5;
     ServerConfig sc;
-    sc.slo.enabled = true;
     Server server(w.graph, w.features, w.weights, sc);
     ReplayReport rep = server.runTrace(makeSyntheticTrace(w.graph, tc));
     ASSERT_EQ(rep.inference.size(), tc.numInference);
@@ -386,7 +414,6 @@ TEST(SloFaults, EngineStallDropsDeterministicallyAndRecovers)
         makeSyntheticTrace(w.graph, tc);
 
     ServerConfig sc;
-    sc.slo.enabled = true;
     sc.slo.stalenessBound = 4;
     FaultEvent stall;
     stall.kind = FaultEvent::Kind::EngineStall;
@@ -464,7 +491,6 @@ TEST(SloFaults, BoundedStalenessKeepsServingThroughUpdateBurst)
     auto run = [&](uint32_t staleness) {
         ServerConfig sc;
         sc.scheduler.maxBatch = 8;
-        sc.slo.enabled = true;
         sc.slo.stalenessBound = staleness;
         sc.faults = plan;
         Server server(w.graph, w.features, w.weights, sc);
@@ -524,7 +550,6 @@ TEST(SloFaults, BurstArrivalsInjectDeterministicHerd)
     // typed errors billed to the herd's tenant.
     ServerConfig sc;
     sc.scheduler.maxBatch = 4;
-    sc.slo.enabled = true;
     sc.slo.queueCap = 16;
     Server server(w.graph, w.features, w.weights, sc);
     ReplayReport rep = server.runTrace(std::move(trace));
@@ -561,7 +586,6 @@ TEST(SloReplay, OverloadShedsBoundedWhileFcfsBacklogGrows)
     ServerConfig calm_sc;
     calm_sc.scheduler.maxBatch = 1;
     calm_sc.service = flat;
-    calm_sc.slo.enabled = true;
     calm_sc.slo.queueCap = 0; // unbounded; no contention anyway
     Server calm_server(w.graph, w.features, w.weights, calm_sc);
     ReplayReport calm_rep =
@@ -605,15 +629,19 @@ TEST(SloReplay, OverloadShedsBoundedWhileFcfsBacklogGrows)
         << "admitted p99 " << p99_admitted << " vs uncontended "
         << p99_uncontended;
 
-    // FCFS-without-shedding baseline on the same trace: every request
-    // is eventually served, so the waiting line at the moment the
-    // last request arrives has grown far past the SLO queue cap —
+    // FCFS-without-shedding baseline: the same trace with its
+    // deadlines cleared, served with no queue cap. Every request is
+    // eventually served, so the waiting line at the moment the last
+    // request arrives has grown far past the SLO queue cap —
     // unbounded backlog growth in request count (and memory).
+    std::vector<Request> no_deadlines = overload;
+    for (Request &r : no_deadlines)
+        r.deadlineUs = 0;
     ServerConfig fcfs_sc;
     fcfs_sc.scheduler.maxBatch = 1;
     fcfs_sc.service = flat;
     Server fcfs_server(w.graph, w.features, w.weights, fcfs_sc);
-    ReplayReport fcfs_rep = fcfs_server.runTrace(overload);
+    ReplayReport fcfs_rep = fcfs_server.runTrace(no_deadlines);
     EXPECT_EQ(fcfs_rep.inference.size() +
                   [&] {
                       uint64_t coalesced = 0;
@@ -761,7 +789,6 @@ TEST(SloRealTime, TypedSubmitAccountsEveryRequestExactlyOnce)
     Workload w = makeWorkload(300, 71);
     ServerConfig sc;
     sc.scheduler.maxBatch = 4;
-    sc.slo.enabled = true;
     sc.slo.queueCap = 8;
     Server server(w.graph, w.features, w.weights, sc);
     server.start();

@@ -67,7 +67,7 @@ usage()
         "  serve     --trace [--dataset NAME [--scale F] |\n"
         "            --in FILE | --nodes N] [--requests R]\n"
         "            [--updates U] [--remove-frac F] [--batch-cap B]\n"
-        "            [--max-wait-us W] [--features F] [--hidden H]\n"
+        "            [--features F] [--hidden H]\n"
         "            [--classes C] [--cmax N] [--seed S]\n"
         "            [--feature-density D] [--sparse-x]\n"
         "            [--pattern poisson|burst|diurnal]\n"
@@ -77,7 +77,7 @@ usage()
         "              cache hits skip the layer-1 edge sweep)\n"
         "            [--agg-cache-mb N]    cache byte budget (LRU\n"
         "              eviction; default 64)\n"
-        "            SLO mode (enables admission control + EDF):\n"
+        "            SLO limits (default none; EDF by deadline):\n"
         "            [--qps-budget Q] [--queue-cap N]\n"
         "            [--staleness K] [--deadline-us D]\n"
         "            [--strict-frac F]\n"
@@ -346,25 +346,17 @@ cmdServe(const Args &args)
     serve::ServerConfig sc;
     sc.scheduler.maxBatch =
         static_cast<uint32_t>(args.getInt("batch-cap", 32));
-    sc.scheduler.maxWaitUs =
-        static_cast<uint64_t>(args.getInt("max-wait-us", 200));
     sc.locator.maxIslandSize = cmaxArg(args, sc.locator.maxIslandSize);
     sc.aggCache.enabled =
         args.has("agg-cache") || args.has("agg-cache-mb");
     sc.aggCache.maxBytes = static_cast<size_t>(
                                args.getInt("agg-cache-mb", 64))
         << 20;
-    // Any SLO knob switches the replay from FCFS to the admission-
-    // controlled EDF path.
-    if (args.has("qps-budget") || args.has("queue-cap") ||
-        args.has("staleness") || args.has("deadline-us")) {
-        sc.slo.enabled = true;
-        sc.slo.qpsBudget = args.getDouble("qps-budget", 0.0);
-        sc.slo.queueCap =
-            static_cast<uint32_t>(args.getInt("queue-cap", 1024));
-        sc.slo.stalenessBound =
-            static_cast<uint32_t>(args.getInt("staleness", 0));
-    }
+    sc.slo.qpsBudget = args.getDouble("qps-budget", 0.0);
+    sc.slo.queueCap =
+        static_cast<uint32_t>(args.getInt("queue-cap", 0));
+    sc.slo.stalenessBound =
+        static_cast<uint32_t>(args.getInt("staleness", 0));
 
     const std::string trace_out = args.get("trace-out");
     const std::string metrics_out = args.get("metrics-out");
@@ -374,16 +366,14 @@ cmdServe(const Args &args)
 
     std::printf("serve: %u nodes, %llu edges; trace %zu requests "
                 "(%llu inference + %llu updates, %.0f%% deletions), "
-                "batch cap %u, max wait %llu us\n",
+                "batch cap %u\n",
                 g.numNodes(),
                 static_cast<unsigned long long>(g.numEdges()),
                 trace.size(),
                 static_cast<unsigned long long>(tc.numInference),
                 static_cast<unsigned long long>(tc.numUpdates),
                 tc.removeFraction * 100.0,
-                sc.scheduler.maxBatch,
-                static_cast<unsigned long long>(
-                    sc.scheduler.maxWaitUs));
+                sc.scheduler.maxBatch);
     std::printf("features: %s, %zu x %zu, %llu nnz, %.1f KiB\n",
                 x.sparse ? "csr" : "dense", x.rows(), x.cols(),
                 static_cast<unsigned long long>(x.nnz()),
@@ -405,7 +395,7 @@ cmdServe(const Args &args)
     std::printf("final epoch %llu\n--- stats ---\n%s",
                 static_cast<unsigned long long>(server.currentEpoch()),
                 server.stats().summary().c_str());
-    if (sc.slo.enabled) {
+    if (!rep.rejections.empty()) {
         std::printf("--- per-tenant admission ---\n%s",
                     server.stats().rejectionTable().c_str());
         std::printf("shed %zu requests (%.1f%% shed rate)\n",
