@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the library's hot kernels:
- * SpMM dataflows, islandization, island bitmap construction, window
- * op counting, and the island-based aggregation itself — plus the
+ * SpMM dataflows, islandization, window op counting, the Island
+ * Consumer's plan compile and replay, and the island-based
+ * aggregation itself (compile plus one replay) — plus the
  * serving engine's receptive-field build and one whole micro-batch.
  *
  * The rewritten gather kernels (push outer-product, transpose) sweep
@@ -267,21 +268,36 @@ BM_AggregateViaIslands(benchmark::State &state)
 BENCHMARK(BM_AggregateViaIslands);
 
 void
-BM_BuildIslandBitmap(benchmark::State &state)
+BM_IslandPlanCompile(benchmark::State &state)
 {
     const CsrGraph &g = benchGraph();
     const IslandizationResult &isl = benchIslands();
+    RedundancyConfig cfg;
     for (auto _ : state) {
-        uint64_t bits = 0;
-        for (const Island &island : isl.islands) {
-            IslandBitmap bm = buildIslandBitmap(g, island, true);
-            bits += bm.countBits();
-        }
-        benchmark::DoNotOptimize(bits);
+        IslandPlan plan = compileIslandPlan(g, isl, cfg);
+        benchmark::DoNotOptimize(plan.ops.data());
     }
     state.SetItemsProcessed(state.iterations() * isl.islands.size());
 }
-BENCHMARK(BM_BuildIslandBitmap);
+BENCHMARK(BM_IslandPlanCompile);
+
+void
+BM_IslandPlanReplay(benchmark::State &state)
+{
+    const CsrGraph &g = benchGraph();
+    const IslandPlan plan = compileIslandPlan(g, benchIslands(), {});
+    const size_t channels = static_cast<size_t>(state.range(0));
+    Rng rng(2);
+    DenseMatrix y(g.numNodes(), channels);
+    y.fillRandom(rng);
+    for (auto _ : state) {
+        DenseMatrix z = replayIslandPlan(plan, y);
+        benchmark::DoNotOptimize(z.data().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (g.numEdges() + g.numNodes()) * channels);
+}
+BENCHMARK(BM_IslandPlanReplay)->Arg(16)->Arg(64);
 
 /** Pubmed surrogate served as the end-to-end benchmark serves it. */
 struct ServeBench

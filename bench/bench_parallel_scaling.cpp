@@ -2,9 +2,9 @@
  * @file
  * Parallel-scaling sweep of the island-aware execution engine.
  *
- * Runs every pooled kernel — island aggregation, the four SpMM
- * dataflows, the transpose scatter and dense GEMM — plus the
- * sequential island locator and the end-to-end two-layer forward pass
+ * Runs every pooled kernel — island aggregation (and, separately, its
+ * plan compile and replay), the four SpMM dataflows, the transpose
+ * scatter and dense GEMM — plus the sequential island locator and the end-to-end two-layer forward pass
  * on the synthetic hub-and-island dataset family, sweeping the
  * thread-pool worker count 1..N. Prints a speedup table and writes
  * machine-readable results to BENCH_parallel.json.
@@ -152,6 +152,8 @@ main(int argc, char **argv)
 
         std::vector<KernelResult> results;
         results.push_back({"aggregateViaIslands", {}, {}});
+        results.push_back({"islandPlanCompile", {}, {}});
+        results.push_back({"islandPlanReplay", {}, {}});
         results.push_back({"spmmPullRowWise", {}, {}});
         results.push_back({"spmmPullInnerProduct", {}, {}});
         results.push_back({"spmmPushColumnWise", {}, {}});
@@ -165,6 +167,13 @@ main(int argc, char **argv)
             setGlobalThreads(t);
             const double agg = timeBest(reps, [&] {
                 aggregateViaIslands(c.graph, c.islands, y, cfg);
+            });
+            IslandPlan plan;
+            const double compile = timeBest(reps, [&] {
+                plan = compileIslandPlan(c.graph, c.islands, cfg);
+            });
+            const double replay = timeBest(reps, [&] {
+                replayIslandPlan(plan, y);
             });
             const double spmm = timeBest(reps, [&] {
                 spmmPullRowWise(a, y, nullptr);
@@ -191,8 +200,8 @@ main(int argc, char **argv)
                 gcnForwardViaIslands(c.graph, c.islands, x, weights,
                                      cfg);
             });
-            const double secs[] = {agg, spmm, spmm_ip, spmm_cw,
-                                   spmm_op, xt, loc, mm, fwd};
+            const double secs[] = {agg, compile, replay, spmm, spmm_ip,
+                                   spmm_cw, spmm_op, xt, loc, mm, fwd};
             for (size_t k = 0; k < results.size(); ++k) {
                 results[k].threads.push_back(t);
                 results[k].seconds.push_back(secs[k]);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "accel/energy.hpp"
+#include "core/consumer.hpp"
 #include "sim/dram.hpp"
 
 namespace igcn {
@@ -87,10 +88,10 @@ simulateIgcn(const DatasetGraph &data, const ModelConfig &model,
         // Discovery times: islands of a round are spread across the
         // round's BFS window proportionally to scanned edges.
         std::vector<uint64_t> round_prefix(isl.rounds.size(), 0);
+        const IslandPlan plan = compileIslandPlan(g, isl, hw.redundancy);
         for (size_t i = 0; i < isl.islands.size(); ++i) {
             const Island &island = isl.islands[i];
-            IslandBitmap bm = buildIslandBitmap(g, island, true);
-            AggOpStats ops = countIslandAggOps(bm, hw.redundancy);
+            const AggOpStats &ops = plan.islandStats[i];
             IslandCost &c = costs[i];
             c.windowUnits = ops.windowOps;
             c.preaggUnits = ops.preaggOps;

@@ -21,57 +21,6 @@
 
 namespace igcn {
 
-/**
- * Local adjacency bitmap of one island task. Columns (and rows) are
- * ordered [island nodes..., hubs...]: the dense island block comes
- * first so the 1 x k scan windows over it are not diluted by the
- * sparse hub columns (each hub column typically holds one bit per
- * island row). The hub-row x hub-column block is always zero:
- * hub-hub connections are handled by inter-hub tasks.
- */
-struct IslandBitmap
-{
-    int numHubs = 0;
-    int numNodes = 0;
-    /** Words per row = ceil((numHubs + numNodes) / 64). */
-    int rowStride = 0;
-    /** Row-major bit matrix, (numHubs+numNodes) x rowStride words. */
-    std::vector<uint64_t> bits;
-
-    int width() const { return numHubs + numNodes; }
-    int height() const { return numHubs + numNodes; }
-
-    bool
-    test(int r, int c) const
-    {
-        return (bits[static_cast<size_t>(r) * rowStride + c / 64] >>
-                (c % 64)) & 1;
-    }
-
-    void
-    set(int r, int c)
-    {
-        bits[static_cast<size_t>(r) * rowStride + c / 64] |=
-            uint64_t{1} << (c % 64);
-    }
-
-    /** Number of set bits in the whole bitmap. */
-    uint64_t countBits() const;
-
-    /** Number of set bits in row r, columns [c0, c1). */
-    int countBitsInWindow(int r, int c0, int c1) const;
-};
-
-/**
- * Build the local bitmap of an island.
- *
- * @param include_self_loops set the diagonal for island nodes,
- *        modelling the +I of the normalized GCN adjacency. Hub self
- *        loops are handled with the inter-hub tasks instead.
- */
-IslandBitmap buildIslandBitmap(const CsrGraph &g, const Island &island,
-                               bool include_self_loops = true);
-
 /** Configuration of the redundancy-removal op accounting. */
 struct RedundancyConfig
 {
@@ -90,6 +39,8 @@ struct RedundancyConfig
      * during combination regardless.
      */
     bool lazyPreagg = false;
+
+    bool operator==(const RedundancyConfig &) const = default;
 };
 
 /** Aggregation op accounting for one island (or totals over many). */
@@ -121,10 +72,6 @@ struct AggOpStats
         return *this;
     }
 };
-
-/** Count aggregation ops for one island bitmap under config cfg. */
-AggOpStats countIslandAggOps(const IslandBitmap &bm,
-                             const RedundancyConfig &cfg);
 
 /** Aggregate accounting over a full islandization result. */
 struct PruningReport
@@ -177,9 +124,10 @@ struct PruningReport
 };
 
 /**
- * Run the op accounting over every island plus the inter-hub edge map.
- * The returned baseline always equals nnz(A) + numNodes (the +I self
- * loops), a property the tests assert.
+ * Run the op accounting over every island plus the inter-hub edge map:
+ * the per-island stats of compileIslandPlan() (core/consumer.hpp),
+ * summed. The returned baseline always equals nnz(A) + numNodes (the
+ * +I self loops), a property the tests assert.
  */
 PruningReport countPruning(const CsrGraph &g,
                            const IslandizationResult &isl,

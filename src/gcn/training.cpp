@@ -37,6 +37,8 @@ trainingForward(const CsrGraph &g, const IslandizationResult &isl,
     std::vector<float> s = degreeScaling(g);
 
     ForwardCache cache;
+    cache.plan = std::make_shared<const IslandPlan>(
+        compileIslandPlan(g, isl, cfg));
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         cache.layerInputs.push_back(l == 0 ? DenseMatrix{} : current);
@@ -45,7 +47,7 @@ trainingForward(const CsrGraph &g, const IslandizationResult &isl,
                         : gemm(x.dense, weights[l]))
             : gemm(current, weights[l]);
         scaleRows(u, s);
-        DenseMatrix z = aggregateViaIslands(g, isl, u, cfg);
+        DenseMatrix z = replayIslandPlan(*cache.plan, u);
         scaleRows(z, s);
         cache.preActivations.push_back(z);
         current = std::move(z);
@@ -91,6 +93,13 @@ trainingBackward(const CsrGraph &g, const IslandizationResult &isl,
 {
     const size_t num_layers = weights.size();
     std::vector<float> s = degreeScaling(g);
+    std::shared_ptr<const IslandPlan> plan = cache.plan;
+    if (plan && plan->numNodes != g.numNodes())
+        throw std::invalid_argument(
+            "cached island plan node count != graph node count");
+    if (!plan || plan->cfg != cfg)
+        plan = std::make_shared<const IslandPlan>(
+            compileIslandPlan(g, isl, cfg));
 
     Gradients grads;
     grads.weightGrads.resize(num_layers);
@@ -104,8 +113,8 @@ trainingBackward(const CsrGraph &g, const IslandizationResult &isl,
         // Backward through S (A+I) S, reusing the island consumer:
         // A_hat is symmetric, so the same binary aggregation applies.
         scaleRows(grad, s);
-        DenseMatrix du = aggregateViaIslands(g, isl, grad, cfg,
-                                             &grads.backwardAggOps);
+        DenseMatrix du =
+            replayIslandPlan(*plan, grad, &grads.backwardAggOps);
         scaleRows(du, s);
 
         // dW = X(l)^T dU. Sparse features gather through the CSC

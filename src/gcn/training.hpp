@@ -19,6 +19,8 @@
 
 #pragma once
 
+#include <memory>
+
 #include "core/consumer.hpp"
 #include "gcn/reference.hpp"
 
@@ -34,6 +36,9 @@ struct ForwardCache
     std::vector<DenseMatrix> preActivations;
     /** Final output. */
     DenseMatrix output;
+    /** The Island Consumer plan the forward pass replayed; the
+     *  backward pass replays it too. */
+    std::shared_ptr<const IslandPlan> plan;
 };
 
 /** Result of one backward pass. */
@@ -46,7 +51,8 @@ struct Gradients
 
 /**
  * Forward pass with cached intermediates, executed through the
- * Island Consumer.
+ * Island Consumer. Compiles the island plan once and stores it in
+ * the cache.
  */
 ForwardCache trainingForward(const CsrGraph &g,
                              const IslandizationResult &isl,
@@ -60,7 +66,12 @@ double mseLoss(const DenseMatrix &output, const DenseMatrix &target,
 
 /**
  * Backward pass: given dL/d(output), produce dL/dW for every layer,
- * aggregating gradients through the islands.
+ * aggregating gradients through the islands by replaying the
+ * forward's plan (recompiled from g and isl if cfg differs from the
+ * one it was compiled under, or the cache holds none).
+ *
+ * @throws std::invalid_argument if the cached plan was compiled for a
+ *         graph with a different node count.
  */
 Gradients trainingBackward(const CsrGraph &g,
                            const IslandizationResult &isl,

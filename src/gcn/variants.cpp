@@ -1,5 +1,6 @@
 #include "gcn/variants.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 namespace igcn {
@@ -103,6 +104,9 @@ variantForwardViaIslands(const CsrGraph &g,
 {
     if (weights.empty())
         throw std::invalid_argument("no layers");
+    // One plan per self-loop flag, compiled on first use and replayed
+    // by every later layer.
+    std::optional<IslandPlan> plans[2];
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         DenseMatrix xw = (l == 0) ? combination(x, weights[l])
@@ -110,8 +114,10 @@ variantForwardViaIslands(const CsrGraph &g,
         current = aggregateVariant(
             g, opt, std::move(xw),
             [&](const DenseMatrix &y, bool include_self) {
-                return aggregateViaIslands(g, isl, y, cfg, stats,
-                                           include_self);
+                std::optional<IslandPlan> &plan = plans[include_self];
+                if (!plan)
+                    plan = compileIslandPlan(g, isl, cfg, include_self);
+                return replayIslandPlan(*plan, y, stats);
             });
         if (l + 1 < weights.size())
             reluInPlace(current);

@@ -13,8 +13,8 @@
  *    guarantee — the same events happen at any IGCN_THREADS).
  *  - ShardedCounter gives each pool worker its own cache-line slot;
  *    value() folds the shards in worker-index order, the same
- *    per-worker-buffer-then-ordered-merge discipline every parallel
- *    kernel uses (thread_pool.hpp, parallelAccumulate).
+ *    per-worker-buffer-then-ordered-merge discipline of the pool's
+ *    static partitioning (thread_pool.hpp).
  *  - Histogram is deliberately *not* atomic: it is single-writer
  *    (the serving scheduler thread owns every serve histogram).
  *    Cross-thread recording uses per-worker Histogram instances
@@ -176,7 +176,7 @@ class ShardedCounter
  * therefore accurate to one bucket width (quantileErrorBound()).
  *
  * Single-writer by contract (see file comment); copyable so
- * per-worker instances can ride parallelAccumulate and merge().
+ * per-worker instances can be folded with merge().
  */
 class Histogram
 {

@@ -7,11 +7,10 @@
  *
  *  - **Static partitioning.** parallelFor() splits [begin, end) into
  *    at most numThreads() contiguous chunks, one per worker, with the
- *    same split for the same (range, thread count). Kernels that keep
- *    per-worker partial results therefore see a reproducible
- *    assignment, which is what makes their reductions deterministic:
- *    merging per-worker buffers in worker-index order replays the
- *    contributions in a fixed, input-independent order.
+ *    same split for the same (range, thread count). A kernel that
+ *    keeps per-worker partial results therefore sees a reproducible
+ *    assignment: merging per-worker buffers in worker-index order
+ *    replays the contributions in a fixed, input-independent order.
  *
  *  - **Caller participation.** The calling thread executes chunk 0
  *    itself, so a pool of size 1 runs the loop inline with zero
@@ -202,40 +201,5 @@ void setGlobalThreads(int n);
 
 /** Worker count of the global pool without forcing other defaults. */
 int globalThreads();
-
-/**
- * Deterministic reduction: run body over [begin, end) with one
- * private accumulator per chunk (each copy-constructed from init) and
- * return the accumulators ordered by chunk index.
- *
- * This is the shared form of the per-worker-buffer-then-ordered-merge
- * pattern used by every parallel kernel with a scatter or reduction:
- * chunk w only ever touches accs[w], so the body runs without
- * synchronization, and because the partition is static the caller's
- * merge — folding the returned vector in index order — replays the
- * contributions in a fixed, input-independent order. At one thread
- * (or inside a nested parallel region) there is exactly one
- * accumulator filled in sequential order, so the merged result is
- * bit-identical to the sequential kernel.
- *
- * body is called as body(acc, chunk_index, chunk_begin, chunk_end).
- * Accumulators for chunks an exception skipped stay at init; the
- * exception propagates after all chunks finish.
- */
-template <typename Acc, typename Body>
-std::vector<Acc>
-parallelAccumulate(ThreadPool &pool, size_t begin, size_t end,
-                   const Acc &init, Body &&body,
-                   size_t min_per_worker = 1)
-{
-    const int chunks = pool.planChunks(begin, end, min_per_worker);
-    std::vector<Acc> accs(static_cast<size_t>(chunks), init);
-    if (chunks == 0)
-        return accs;
-    pool.parallelFor(begin, end, [&](int w, size_t lo, size_t hi) {
-        body(accs[static_cast<size_t>(w)], w, lo, hi);
-    }, min_per_worker);
-    return accs;
-}
 
 } // namespace igcn

@@ -26,6 +26,11 @@
  *    timing models depend on that — and must match a golden
  *    fingerprint of the full result.
  *
+ * The Island Consumer's compiled plan must be byte-equal, with the
+ * same op accounting, to a copy of the seed's sequential bitmap-scan
+ * consumer at 1/2/4/8 threads, and reject invalid islandizations at
+ * compile time.
+ *
  * The dense combination kernels (gemm, gemmTransposeA,
  * gemmTransposeB) must be byte-equal to plain scalar ascending-index
  * loops at 1/4/8 threads, over widths that hit every column-block
@@ -38,16 +43,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "core/consumer.hpp"
 #include "core/locator.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spmm/spmm.hpp"
@@ -950,6 +960,434 @@ TEST_F(ParityTest, FuzzIslandizeOnRandomGraphs)
                             "iter " + std::to_string(iter));
         expectSameStats(isl.stats, base.stats,
                         "iter " + std::to_string(iter));
+    }
+}
+
+
+// ---------------------------------------------------------------------
+// Island Consumer: the compiled plan against the seed's sequential
+// bitmap-scan consumer, verbatim apart from a simpler bitmap build
+// ---------------------------------------------------------------------
+
+/** The seed's local adjacency bitmap of one island. */
+struct OracleBitmap
+{
+    int numHubs = 0;
+    int numNodes = 0;
+    int rowStride = 0;
+    std::vector<uint64_t> bits;
+
+    int width() const { return numHubs + numNodes; }
+    int height() const { return numHubs + numNodes; }
+
+    bool
+    test(int r, int c) const
+    {
+        return (bits[static_cast<size_t>(r) * rowStride + c / 64] >>
+                (c % 64)) & 1;
+    }
+
+    void
+    set(int r, int c)
+    {
+        bits[static_cast<size_t>(r) * rowStride + c / 64] |=
+            uint64_t{1} << (c % 64);
+    }
+
+    int
+    countBitsInWindow(int r, int c0, int c1) const
+    {
+        int total = 0;
+        for (int c = c0; c < c1; ++c)
+            total += test(r, c);
+        return total;
+    }
+};
+
+/** Columns [island nodes..., hubs...]; local must be all -1. */
+OracleBitmap
+oracleBitmap(const CsrGraph &g, const Island &island,
+             bool include_self_loops, std::vector<int> &local)
+{
+    OracleBitmap bm;
+    bm.numHubs = static_cast<int>(island.hubs.size());
+    bm.numNodes = static_cast<int>(island.nodes.size());
+    bm.rowStride = (bm.width() + 63) / 64;
+    bm.bits.assign(static_cast<size_t>(bm.height()) * bm.rowStride, 0);
+    for (int i = 0; i < bm.numNodes; ++i)
+        local[island.nodes[i]] = i;
+    for (int h = 0; h < bm.numHubs; ++h)
+        local[island.hubs[h]] = bm.numNodes + h;
+    for (int i = 0; i < bm.numNodes; ++i) {
+        for (NodeId nb : g.neighbors(island.nodes[i]))
+            bm.set(i, local[nb]);
+        if (include_self_loops)
+            bm.set(i, i);
+    }
+    for (int h = 0; h < bm.numHubs; ++h)
+        for (int i = 0; i < bm.numNodes; ++i)
+            if (g.hasEdge(island.hubs[h], island.nodes[i]))
+                bm.set(bm.numNodes + h, i);
+    for (NodeId v : island.nodes)
+        local[v] = -1;
+    for (NodeId h : island.hubs)
+        local[h] = -1;
+    return bm;
+}
+
+AggOpStats
+oracleCountAtK(const OracleBitmap &bm, int k, bool lazy_preagg)
+{
+    AggOpStats s;
+    s.chosenK = k;
+    const int width = bm.width();
+    const int num_groups = (width + k - 1) / k;
+    std::vector<bool> group_used(num_groups, false);
+    for (int r = 0; r < bm.height(); ++r) {
+        for (int grp = 0; grp < num_groups; ++grp) {
+            const int c0 = grp * k;
+            const int c1 = std::min(width, c0 + k);
+            const int k_eff = c1 - c0;
+            const int z = bm.countBitsInWindow(r, c0, c1);
+            s.baselineOps += z;
+            if (z == 0) {
+                s.windowsSkipped++;
+                continue;
+            }
+            const uint64_t add_cost = z;
+            const uint64_t sub_cost = 1 + (k_eff - z);
+            if (k_eff >= 2 && sub_cost < add_cost) {
+                s.windowOps += sub_cost;
+                s.windowsSubtractMode++;
+                group_used[grp] = true;
+            } else {
+                s.windowOps += add_cost;
+            }
+        }
+    }
+    for (int grp = 0; grp < num_groups; ++grp) {
+        const int c0 = grp * k;
+        const int k_eff = std::min(width, c0 + k) - c0;
+        if (k_eff < 2)
+            continue;
+        if (lazy_preagg && !group_used[grp])
+            continue;
+        s.preaggOps += k_eff - 1;
+    }
+    return s;
+}
+
+AggOpStats
+oracleCountNoRemoval(const OracleBitmap &bm)
+{
+    AggOpStats s;
+    s.chosenK = 0;
+    for (int r = 0; r < bm.height(); ++r)
+        s.baselineOps += bm.countBitsInWindow(r, 0, bm.width());
+    s.windowOps = s.baselineOps;
+    return s;
+}
+
+AggOpStats
+oracleCountIslandAggOps(const OracleBitmap &bm,
+                        const RedundancyConfig &cfg)
+{
+    if (!cfg.adaptiveK) {
+        if (cfg.k < 2)
+            return oracleCountNoRemoval(bm);
+        return oracleCountAtK(bm, cfg.k, cfg.lazyPreagg);
+    }
+    AggOpStats best = oracleCountNoRemoval(bm);
+    for (int k : {2, 4, 8, 16}) {
+        if (k > bm.width() && k != 2)
+            continue;
+        AggOpStats candidate = oracleCountAtK(bm, k, cfg.lazyPreagg);
+        if (candidate.optimizedOps() < best.optimizedOps())
+            best = candidate;
+    }
+    return best;
+}
+
+/** The seed's evaluateIsland: presums, then every row's windows. */
+void
+oracleEvaluateIsland(const OracleBitmap &bm, const Island &island,
+                     const DenseMatrix &y, DenseMatrix &z,
+                     DenseMatrix &hub_partial,
+                     const std::vector<uint32_t> &hub_index, int k)
+{
+    const size_t channels = y.cols();
+    const int width = bm.width();
+    std::vector<NodeId> col_node(width);
+    for (int i = 0; i < bm.numNodes; ++i)
+        col_node[i] = island.nodes[i];
+    for (int h = 0; h < bm.numHubs; ++h)
+        col_node[bm.numNodes + h] = island.hubs[h];
+
+    const int num_groups = k >= 2 ? (width + k - 1) / k : 0;
+    DenseMatrix presum(num_groups ? num_groups : 1, channels);
+    for (int grp = 0; grp < num_groups; ++grp) {
+        const int c0 = grp * k;
+        const int c1 = std::min(width, c0 + k);
+        float *dst = presum.row(grp);
+        for (int c = c0; c < c1; ++c) {
+            const float *src = y.row(col_node[c]);
+            for (size_t ch = 0; ch < channels; ++ch)
+                dst[ch] += src[ch];
+        }
+    }
+
+    for (int r = 0; r < bm.height(); ++r) {
+        float *out = r < bm.numNodes
+            ? z.row(col_node[r])
+            : hub_partial.row(hub_index[col_node[r]]);
+        if (k < 2) {
+            for (int c = 0; c < width; ++c) {
+                if (!bm.test(r, c)) continue;
+                const float *src = y.row(col_node[c]);
+                for (size_t ch = 0; ch < channels; ++ch)
+                    out[ch] += src[ch];
+            }
+            continue;
+        }
+        for (int grp = 0; grp < num_groups; ++grp) {
+            const int c0 = grp * k;
+            const int c1 = std::min(width, c0 + k);
+            const int k_eff = c1 - c0;
+            const int zbits = bm.countBitsInWindow(r, c0, c1);
+            if (zbits == 0)
+                continue;
+            const bool subtract =
+                k_eff >= 2 && (1 + (k_eff - zbits)) < zbits;
+            if (subtract) {
+                const float *pre = presum.row(grp);
+                for (size_t ch = 0; ch < channels; ++ch)
+                    out[ch] += pre[ch];
+                for (int c = c0; c < c1; ++c) {
+                    if (bm.test(r, c)) continue;
+                    const float *src = y.row(col_node[c]);
+                    for (size_t ch = 0; ch < channels; ++ch)
+                        out[ch] -= src[ch];
+                }
+            } else {
+                for (int c = c0; c < c1; ++c) {
+                    if (!bm.test(r, c)) continue;
+                    const float *src = y.row(col_node[c]);
+                    for (size_t ch = 0; ch < channels; ++ch)
+                        out[ch] += src[ch];
+                }
+            }
+        }
+    }
+}
+
+/** The seed's aggregateViaIslands at one thread: islands in order
+ *  into one hub partial buffer, then hub rows, inter-hub edges and
+ *  hub self loops. Per-island op stats go to island_stats. */
+DenseMatrix
+oracleAggregate(const CsrGraph &g, const IslandizationResult &isl,
+                const DenseMatrix &y, const RedundancyConfig &cfg,
+                bool include_self_loops,
+                std::vector<AggOpStats> &island_stats)
+{
+    const size_t channels = y.cols();
+    DenseMatrix z(y.rows(), channels);
+    std::vector<uint32_t> hub_index(g.numNodes(), ~uint32_t{0});
+    std::vector<NodeId> hub_ids;
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        if (isl.role[v] == NodeRole::Hub) {
+            hub_index[v] = static_cast<uint32_t>(hub_ids.size());
+            hub_ids.push_back(v);
+        }
+    }
+    DenseMatrix hub_partial(hub_ids.empty() ? 1 : hub_ids.size(),
+                            channels);
+    std::vector<int> local(g.numNodes(), -1);
+    island_stats.clear();
+    for (const Island &island : isl.islands) {
+        OracleBitmap bm = oracleBitmap(g, island, include_self_loops,
+                                       local);
+        island_stats.push_back(oracleCountIslandAggOps(bm, cfg));
+        oracleEvaluateIsland(bm, island, y, z, hub_partial, hub_index,
+                             island_stats.back().chosenK);
+    }
+    for (size_t h = 0; h < hub_ids.size(); ++h) {
+        float *dst = z.row(hub_ids[h]);
+        const float *src = hub_partial.row(h);
+        for (size_t ch = 0; ch < channels; ++ch)
+            dst[ch] += src[ch];
+    }
+    for (const auto &[h1, h2] : isl.interHubEdges) {
+        for (size_t ch = 0; ch < channels; ++ch) {
+            z.row(h1)[ch] += y.row(h2)[ch];
+            z.row(h2)[ch] += y.row(h1)[ch];
+        }
+    }
+    if (include_self_loops)
+        for (NodeId v : hub_ids)
+            for (size_t ch = 0; ch < channels; ++ch)
+                z.row(v)[ch] += y.row(v)[ch];
+    return z;
+}
+
+void
+expectSameOps(const AggOpStats &a, const AggOpStats &b,
+              const std::string &ctx)
+{
+    EXPECT_EQ(a.baselineOps, b.baselineOps) << ctx;
+    EXPECT_EQ(a.preaggOps, b.preaggOps) << ctx;
+    EXPECT_EQ(a.windowOps, b.windowOps) << ctx;
+    EXPECT_EQ(a.windowsSkipped, b.windowsSkipped) << ctx;
+    EXPECT_EQ(a.windowsSubtractMode, b.windowsSubtractMode) << ctx;
+}
+
+struct PlanConfig
+{
+    const char *name;
+    RedundancyConfig cfg;
+    bool includeSelfLoops = true;
+};
+
+std::vector<PlanConfig>
+planConfigs()
+{
+    std::vector<PlanConfig> out;
+    out.push_back({"adaptive", {}});
+    // k = 3 windows straddle the 64-column word boundaries.
+    for (int k : {0, 2, 3, 4, 8, 16}) {
+        RedundancyConfig cfg;
+        cfg.adaptiveK = false;
+        cfg.k = k;
+        out.push_back({"fixed", cfg});
+    }
+    RedundancyConfig lazy;
+    lazy.lazyPreagg = true;
+    out.push_back({"lazy", lazy});
+    out.push_back({"no-self-loops", {}, false});
+    return out;
+}
+
+TEST_F(ParityTest, IslandPlanMatchesSequentialConsumerAcrossThreads)
+{
+    struct PlanCase
+    {
+        std::string name;
+        CsrGraph graph;
+        LocatorConfig locator;
+    };
+    std::vector<PlanCase> cases;
+    for (FamilyCase &fc : graphFamilies())
+        cases.push_back({fc.name, std::move(fc.graph), {}});
+    cases.push_back({"pubmed", buildDataset(Dataset::Pubmed).graph, {}});
+    cases.push_back({"cora", buildDataset(Dataset::Cora).graph, {}});
+    // cmax 256: islands up to 168 columns wide, three words per row.
+    LocatorConfig wide;
+    wide.maxIslandSize = 256;
+    cases.push_back({"cora-cmax256", buildDataset(Dataset::Cora).graph,
+                     wide});
+    for (const PlanCase &fc : cases) {
+        const IslandizationResult isl = islandize(fc.graph, fc.locator);
+        for (const PlanConfig &pc : planConfigs()) {
+            const std::string cfg_ctx = fc.name + " " + pc.name +
+                " k=" + std::to_string(pc.cfg.k);
+            for (size_t channels : {1, 3, 16, 64}) {
+                Rng rng(channels * 7 + 1);
+                DenseMatrix y(fc.graph.numNodes(), channels);
+                y.fillRandom(rng);
+                // Negative zeros pin the sign of zero in every sum.
+                for (size_t i = 0; i < y.data().size(); i += 13)
+                    y.data()[i] = -0.0f;
+                std::vector<AggOpStats> oracle_stats;
+                const DenseMatrix expected =
+                    oracleAggregate(fc.graph, isl, y, pc.cfg,
+                                    pc.includeSelfLoops, oracle_stats);
+                for (int threads : kThreadCounts) {
+                    setGlobalThreads(threads);
+                    const std::string ctx = cfg_ctx + " C=" +
+                        std::to_string(channels) + " @ " +
+                        std::to_string(threads) + " threads";
+                    const IslandPlan plan = compileIslandPlan(
+                        fc.graph, isl, pc.cfg, pc.includeSelfLoops);
+                    AggOpStats stats;
+                    EXPECT_TRUE(sameBytes(
+                        replayIslandPlan(plan, y, &stats), expected))
+                        << ctx;
+                    AggOpStats oracle_total;
+                    ASSERT_EQ(plan.islandStats.size(),
+                              oracle_stats.size()) << ctx;
+                    for (size_t i = 0; i < oracle_stats.size(); ++i) {
+                        EXPECT_EQ(plan.islandStats[i].chosenK,
+                                  oracle_stats[i].chosenK) << ctx;
+                        oracle_total += oracle_stats[i];
+                    }
+                    expectSameOps(stats, oracle_total, ctx);
+                    if (channels == 3) {
+                        EXPECT_TRUE(sameBytes(
+                            aggregateViaIslands(fc.graph, isl, y,
+                                                pc.cfg, nullptr,
+                                                pc.includeSelfLoops),
+                            expected)) << ctx;
+                        expectSameOps(
+                            countPruning(fc.graph, isl, pc.cfg,
+                                         pc.includeSelfLoops)
+                                .islandOps,
+                            oracle_total, ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(ParityTest, IslandPlanRejectsCoverageViolationAtCompile)
+{
+    const CsrGraph g = graphFamilies().front().graph;
+    IslandizationResult isl = islandize(g);
+    // Drop a hub from the first island that borders one: its island
+    // nodes now have a neighbor outside the island and its hubs.
+    auto it = std::find_if(isl.islands.begin(), isl.islands.end(),
+                           [](const Island &island) {
+                               return !island.hubs.empty();
+                           });
+    ASSERT_NE(it, isl.islands.end());
+    it->hubs.pop_back();
+    for (int threads : kThreadCounts) {
+        setGlobalThreads(threads);
+        try {
+            compileIslandPlan(g, isl, {});
+            ADD_FAILURE() << "no throw @ " << threads << " threads";
+        } catch (const std::logic_error &e) {
+            EXPECT_NE(std::string(e.what()).find("coverage"),
+                      std::string::npos) << e.what();
+        }
+    }
+    // The thread-local column map was rolled back: a valid
+    // islandization still compiles and replays correctly.
+    const IslandizationResult good = islandize(g);
+    Rng rng(5);
+    DenseMatrix y(g.numNodes(), 4);
+    y.fillRandom(rng);
+    std::vector<AggOpStats> oracle_stats;
+    EXPECT_TRUE(sameBytes(
+        aggregateViaIslands(g, good, y, {}),
+        oracleAggregate(g, good, y, {}, true, oracle_stats)));
+}
+
+TEST_F(ParityTest, IslandPlanRejectsNonHubInHubListAtCompile)
+{
+    const CsrGraph g = graphFamilies().front().graph;
+    IslandizationResult isl = islandize(g);
+    ASSERT_GE(isl.islands.size(), 2u);
+    // Name another island's member as a hub of the last island.
+    isl.islands.back().hubs.push_back(isl.islands.front().nodes[0]);
+    for (int threads : kThreadCounts) {
+        setGlobalThreads(threads);
+        try {
+            compileIslandPlan(g, isl, {});
+            ADD_FAILURE() << "no throw @ " << threads << " threads";
+        } catch (const std::logic_error &e) {
+            EXPECT_NE(std::string(e.what()).find("non-hub"),
+                      std::string::npos) << e.what();
+        }
     }
 }
 

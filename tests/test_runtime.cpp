@@ -2,16 +2,17 @@
  * @file
  * Parallel runtime tests: thread-pool semantics (static partitioning,
  * empty ranges, exception propagation, nested-parallelFor sequential
- * fallback) and thread-count parity of the parallel kernels. Island-node rows,
- * SpMM and GEMM are bit-identical at every thread count by
- * construction; hub rows re-associate float adds at worker
- * boundaries, so whole-result comparisons use a small tolerance.
+ * fallback) and thread-count parity of the parallel kernels. The
+ * Island Consumer, SpMM and GEMM give every output row one owner and
+ * a fixed accumulation order, so their results are byte-identical at
+ * every thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -29,7 +30,16 @@ namespace igcn {
 namespace {
 
 constexpr double kTol = 1e-4;
-const int kThreadCounts[] = {1, 2, 8};
+const int kThreadCounts[] = {1, 2, 4, 8};
+
+/** Same shape and the same bytes (NaN-safe, unlike operator==). */
+bool
+sameBytes(const DenseMatrix &x, const DenseMatrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+        std::memcmp(x.data().data(), y.data().data(),
+                    x.data().size() * sizeof(float)) == 0;
+}
 
 /** Restore the default global pool after each test. */
 class RuntimeTest : public ::testing::Test
@@ -239,7 +249,7 @@ TEST_F(RuntimeTest, AggregateViaIslandsParityAcrossThreads)
             AggOpStats stats;
             DenseMatrix z =
                 aggregateViaIslands(fc.graph, isl, y, cfg, &stats);
-            EXPECT_LE(maxAbsDiff(z, base), kTol)
+            EXPECT_TRUE(sameBytes(z, base))
                 << fc.name << " @ " << threads << " threads";
             // Op accounting is integer arithmetic: must be exact.
             EXPECT_EQ(stats.baselineOps, base_stats.baselineOps)
@@ -252,9 +262,9 @@ TEST_F(RuntimeTest, AggregateViaIslandsParityAcrossThreads)
 
 TEST_F(RuntimeTest, AggregateDeterministicPerThreadCount)
 {
-    // Two runs at the same thread count must agree bit-for-bit: the
-    // static partitioning and worker-order hub reduction leave no
-    // scheduling dependence in the result.
+    // Two runs at the same thread count must agree bit-for-bit: each
+    // output row is replayed by one worker in a fixed op order, which
+    // leaves no scheduling dependence in the result.
     HubIslandParams hp;
     hp.numNodes = 2000;
     hp.seed = 5;
@@ -351,8 +361,7 @@ TEST_F(RuntimeTest, ForwardAndTrainingParityAcrossThreads)
     for (int threads : kThreadCounts) {
         setGlobalThreads(threads);
         DenseMatrix fwd = gcnForwardViaIslands(g, isl, x, weights, {});
-        EXPECT_LE(maxAbsDiff(fwd, base_fwd), kTol)
-            << threads << " threads";
+        EXPECT_TRUE(sameBytes(fwd, base_fwd)) << threads << " threads";
         EXPECT_LE(maxAbsDiff(fwd, ref), kTol)
             << threads << " threads vs reference";
 
@@ -363,9 +372,11 @@ TEST_F(RuntimeTest, ForwardAndTrainingParityAcrossThreads)
                                            grad_out, {});
         ASSERT_EQ(grads.weightGrads.size(),
                   base_grads.weightGrads.size());
+        EXPECT_TRUE(sameBytes(cache.output, base_cache.output))
+            << threads << " threads";
         for (size_t l = 0; l < grads.weightGrads.size(); ++l)
-            EXPECT_LE(maxAbsDiff(grads.weightGrads[l],
-                                 base_grads.weightGrads[l]), kTol)
+            EXPECT_TRUE(sameBytes(grads.weightGrads[l],
+                                  base_grads.weightGrads[l]))
                 << "layer " << l << " @ " << threads << " threads";
     }
 }

@@ -18,6 +18,15 @@
 namespace igcn {
 namespace {
 
+/** Same shape and the same bytes (NaN-safe, unlike operator==). */
+bool
+sameBytes(const DenseMatrix &x, const DenseMatrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+        std::memcmp(x.data().data(), y.data().data(),
+                    x.data().size() * sizeof(float)) == 0;
+}
+
 /** Loss as a function of the weights, via the island forward. */
 double
 lossAt(const CsrGraph &g, const IslandizationResult &isl,
@@ -168,10 +177,9 @@ TEST(Training, SparseFeaturesBitIdenticalToDensifiedAcrossThreads)
     // reference run at the SAME thread count. Layer 0 runs
     // sparseTimesDense forward and sparseTransposeTimesDense (over
     // the cached CSC adjunct) backward; both are exact-order matches
-    // for their dense counterparts. (The island hub reduction
-    // re-associates across worker boundaries, so the training path —
-    // dense or sparse — is deterministic per thread count but not
-    // invariant across counts; the sparse-vs-dense comparison is.)
+    // for their dense counterparts. The island aggregation is
+    // bit-identical at any thread count too, so both runs must also
+    // equal the 1-thread run byte for byte.
     auto hi = hubAndIslandGraph({.numNodes = 220, .seed = 11});
     auto isl = islandize(hi.graph);
     Rng rng(31);
@@ -199,12 +207,18 @@ TEST(Training, SparseFeaturesBitIdenticalToDensifiedAcrossThreads)
                          std::move(g.weightGrads)};
     };
 
+    setGlobalThreads(1);
+    const auto [base_out, base_grads] = run(dense);
     for (int threads : {1, 4, 8}) {
         setGlobalThreads(threads);
         const auto [out1, grads1] = run(dense);
         const auto [out, grads] = run(sparse);
         const std::string ctx =
             std::to_string(threads) + " threads";
+        EXPECT_TRUE(sameBytes(out1, base_out)) << ctx;
+        for (size_t l = 0; l < grads1.size(); ++l)
+            EXPECT_TRUE(sameBytes(grads1[l], base_grads[l]))
+                << ctx << " layer " << l;
         ASSERT_EQ(out.rows(), out1.rows()) << ctx;
         EXPECT_EQ(std::memcmp(out.data().data(), out1.data().data(),
                               out1.data().size() * sizeof(float)),
@@ -220,6 +234,66 @@ TEST(Training, SparseFeaturesBitIdenticalToDensifiedAcrossThreads)
                 << ctx << " layer " << l;
     }
     setGlobalThreads(0);
+}
+
+TEST(Training, BackwardUnderOtherConfigMatchesFreshRun)
+{
+    // A backward pass whose cfg differs from the forward's recompiles
+    // the plan: its gradients must equal a forward and backward run
+    // entirely under that cfg.
+    auto hi = hubAndIslandGraph({.numNodes = 300, .seed = 17});
+    auto isl = islandize(hi.graph);
+    Rng rng(6);
+    Features x = makeFeatures(hi.graph.numNodes(), 12, 0.4, rng);
+    ModelConfig mc;
+    mc.layers = {{12, 6}, {6, 3}};
+    auto weights = makeWeights(mc, rng);
+    DenseMatrix target(hi.graph.numNodes(), 3);
+    target.fillRandom(rng);
+
+    RedundancyConfig other;
+    other.adaptiveK = false;
+    other.k = 4;
+    ASSERT_NE(other, RedundancyConfig{});
+    ForwardCache fresh = trainingForward(hi.graph, isl, x, weights, other);
+    DenseMatrix grad_out;
+    mseLoss(fresh.output, target, &grad_out);
+    Gradients expected = trainingBackward(hi.graph, isl, x, weights,
+                                          fresh, grad_out, other);
+
+    // Same activations, but carrying the default-cfg plan.
+    ForwardCache mixed = fresh;
+    mixed.plan = trainingForward(hi.graph, isl, x, weights).plan;
+    ASSERT_EQ(mixed.plan->cfg, RedundancyConfig{});
+    Gradients grads = trainingBackward(hi.graph, isl, x, weights, mixed,
+                                       grad_out, other);
+    ASSERT_EQ(grads.weightGrads.size(), expected.weightGrads.size());
+    for (size_t l = 0; l < grads.weightGrads.size(); ++l)
+        EXPECT_TRUE(sameBytes(grads.weightGrads[l],
+                              expected.weightGrads[l])) << "layer " << l;
+    EXPECT_EQ(grads.backwardAggOps.optimizedOps(),
+              expected.backwardAggOps.optimizedOps());
+    EXPECT_EQ(grads.backwardAggOps.baselineOps,
+              expected.backwardAggOps.baselineOps);
+}
+
+TEST(Training, BackwardRejectsPlanOfAnotherGraph)
+{
+    auto small = hubAndIslandGraph({.numNodes = 60, .seed = 2});
+    auto big = hubAndIslandGraph({.numNodes = 80, .seed = 2});
+    auto small_isl = islandize(small.graph);
+    auto big_isl = islandize(big.graph);
+    Rng rng(3);
+    Features x = makeFeatures(small.graph.numNodes(), 4, 0.5, rng);
+    ModelConfig mc;
+    mc.layers = {{4, 2}};
+    auto weights = makeWeights(mc, rng);
+    ForwardCache cache =
+        trainingForward(small.graph, small_isl, x, weights);
+    DenseMatrix grad_out(small.graph.numNodes(), 2);
+    EXPECT_THROW(trainingBackward(big.graph, big_isl, x, weights, cache,
+                                  grad_out),
+                 std::invalid_argument);
 }
 
 TEST(Training, ShapeMismatchesRejected)
