@@ -4,7 +4,7 @@
  * SpMM dataflows, islandization, window op counting, the Island
  * Consumer's plan compile and replay, and the island-based
  * aggregation itself (compile plus one replay) — plus the
- * serving engine's receptive-field build and one whole micro-batch.
+ * serving engine's frontier BFS and one whole micro-batch.
  *
  * The rewritten gather kernels (push outer-product, transpose) sweep
  * the thread count as a second benchmark argument — the per-kernel
@@ -333,35 +333,45 @@ serveBench()
 }
 
 void
-BM_InducedSubgraph(benchmark::State &state)
+BM_LHopFrontiers(benchmark::State &state)
 {
-    // The engine's receptive-field build for one 2-hop batch.
+    // The engine's frontier BFS for one 2-layer batch: frontiers 0
+    // and 1 (layer 2's and layer 1's rows).
     const ServeBench &b = serveBench();
     std::vector<NodeId> targets;
     for (const serve::Request &r : b.batch)
         targets.push_back(r.node);
-    const std::vector<NodeId> field =
-        lHopNodeSet(b.data.graph, targets, 2);
+    size_t rows = 0;
     for (auto _ : state) {
-        LHopSubgraph ext = inducedSubgraph(b.data.graph, field, targets);
-        benchmark::DoNotOptimize(ext.sub.cols().data());
+        const auto frontiers = lHopFrontiers(b.data.graph, targets, 1);
+        rows = frontiers.back().size();
+        benchmark::DoNotOptimize(frontiers.data());
     }
-    state.counters["field_nodes"] = static_cast<double>(field.size());
+    state.counters["frontier1_nodes"] = static_cast<double>(rows);
 }
-BENCHMARK(BM_InducedSubgraph)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LHopFrontiers)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ServeBatch(benchmark::State &state)
 {
-    // One InferenceEngine::runBatch over the same 16 targets: field
-    // extraction, the gather of X W0 rows and the 2-layer chain.
+    // One InferenceEngine::runBatch over the same 16 targets: the
+    // frontier BFS and the 2-layer chain, each layer on its own
+    // frontier. Counters: rows and A_hat entries per layer.
     const ServeBench &b = serveBench();
     auto hub = std::make_shared<serve::GraphStateHub>(
         serve::makeGraphState(b.data.graph, LocatorConfig{}));
     serve::InferenceEngine engine(hub, b.x, b.weights);
+    serve::BatchExecInfo info;
     for (auto _ : state) {
-        auto results = engine.runBatch(b.batch);
+        auto results = engine.runBatch(b.batch, &info);
         benchmark::DoNotOptimize(results.data());
+    }
+    for (size_t l = 0; l < info.layerRows.size(); ++l) {
+        const std::string layer = "layer" + std::to_string(l + 1);
+        state.counters[layer + "_rows"] =
+            static_cast<double>(info.layerRows[l]);
+        state.counters[layer + "_nnz"] =
+            static_cast<double>(info.layerEntries[l]);
     }
 }
 BENCHMARK(BM_ServeBatch)->Unit(benchmark::kMicrosecond);

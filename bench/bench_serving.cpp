@@ -11,7 +11,7 @@
  * come from the virtual clock (deterministic: batch formation is a
  * pure function of trace timestamps, service times from the cost
  * model); wall-clock throughput measures the real execution of the
- * same replay — extraction, sub-CSR builds, SpMM forward passes, and
+ * same replay — frontier BFS, per-layer row pulls, and
  * incremental islandization repairs all run for real on the thread
  * pool.
  *
@@ -173,16 +173,14 @@ main(int argc, char **argv)
             json.key("latency_mean_us").value(lat.meanUs);
             json.key("mean_batch").value(st.meanBatchSize());
             json.key("inference_batches").value(st.inferenceBatches());
-            json.key("whole_graph_batches").value(
-                st.wholeGraphBatches());
             json.key("update_applications").value(
                 st.updateApplications());
             json.key("epochs").value(st.epochsPublished());
             json.key("edges_applied").value(st.edgesApplied());
             json.key("edges_removed").value(st.edgesRemoved());
             json.key("interleaves").value(st.interleaves());
-            json.key("mean_subgraph_nodes").value(
-                st.meanSubgraphNodes());
+            json.key("mean_aggregated_rows").value(
+                st.meanAggregatedRows());
             json.endObject();
         }
         json.endArray(); // configs
@@ -400,8 +398,6 @@ main(int argc, char **argv)
                 json.key("latency_p50_us").value(lat.p50);
                 json.key("latency_p99_us").value(lat.p99);
                 json.key("mean_batch").value(st.meanBatchSize());
-                json.key("whole_graph_batches")
-                    .value(st.wholeGraphBatches());
                 json.key("peak_rss_kb").value(peakRssKb());
                 json.endObject();
             }

@@ -1,7 +1,6 @@
 #include "gcn/layer.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "runtime/thread_pool.hpp"
 
@@ -33,14 +32,8 @@ scaleRows(DenseMatrix &m, const std::vector<float> &s)
 CsrMatrix
 normalizedAdjacency(const CsrGraph &g)
 {
-    return normalizedAdjacencyScaled(g, degreeScaling(g));
-}
-
-CsrMatrix
-normalizedAdjacencyScaled(const CsrGraph &g, const std::vector<float> &s)
-{
     CsrMatrix m;
-    refreshNormalizedAdjacency(m, g, s);
+    refreshNormalizedAdjacency(m, g, degreeScaling(g));
     return m;
 }
 
@@ -73,43 +66,6 @@ refreshNormalizedAdjacency(CsrMatrix &m, const CsrGraph &g,
         m.rowPtr[u + 1] = m.colIdx.size();
     }
     m.invalidateCsc();
-}
-
-DenseMatrix
-forwardPastLayer0(const CsrMatrix &a_hat, DenseMatrix h1,
-                  const std::vector<DenseMatrix> &weights)
-{
-    for (size_t l = 1; l < weights.size(); ++l) {
-        reluInPlace(h1);
-        DenseMatrix xw = gemm(h1, weights[l]);
-        h1 = spmmPullRowWise(a_hat, xw);
-    }
-    return h1;
-}
-
-DenseMatrix
-subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
-                const DenseMatrix &x,
-                const std::vector<DenseMatrix> &weights)
-{
-    if (weights.empty())
-        throw std::invalid_argument("no layers");
-    CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardPastLayer0(
-        a_hat, spmmPullRowWise(a_hat, gemm(x, weights[0])), weights);
-}
-
-DenseMatrix
-subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
-                const CsrFeatures &x,
-                const std::vector<DenseMatrix> &weights)
-{
-    if (weights.empty())
-        throw std::invalid_argument("no layers");
-    CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardPastLayer0(
-        a_hat, spmmPullRowWise(a_hat, sparseTimesDense(x, weights[0])),
-        weights);
 }
 
 CsrMatrix

@@ -32,63 +32,16 @@ void scaleRows(DenseMatrix &m, const std::vector<float> &s);
 CsrMatrix normalizedAdjacency(const CsrGraph &g);
 
 /**
- * A_hat of g with caller-supplied scaling: entry (u, v) = s[u]*s[v],
- * self loop s[u]^2 inserted at its sorted position. Equal to
- * normalizedAdjacency when s = degreeScaling(g). The serving engine
- * passes *full-graph* scaling for an extracted receptive subgraph, so
- * fringe truncation never changes a node's normalization.
- */
-CsrMatrix normalizedAdjacencyScaled(const CsrGraph &g,
-                                    const std::vector<float> &s);
-
-/**
- * Rebuild a_hat from (g, s) in place, reusing its storage across
- * epochs and dropping its cached CSC adjunct (mutating the non-zero
- * arrays of a CsrMatrix requires invalidateCsc; this is the one
- * mutation path the online update applier uses).
+ * Rebuild a_hat as the A_hat of g under scaling s — entry (u, v) =
+ * s[u] * s[v], self loop s[u]^2 at its sorted position, so it equals
+ * normalizedAdjacency(g) when s = degreeScaling(g) — in place,
+ * reusing its storage across epochs and dropping its cached CSC
+ * adjunct (mutating the non-zero arrays of a CsrMatrix requires
+ * invalidateCsc; this is the one mutation path the online update
+ * applier uses).
  */
 void refreshNormalizedAdjacency(CsrMatrix &a_hat, const CsrGraph &g,
                                 const std::vector<float> &s);
-
-/**
- * Batched-subgraph forward entry point: the referenceForward layer
- * chain (A_hat X W with combination-first order and inter-layer
- * ReLU) over an extracted L-hop subgraph. `scale` and `x` are the
- * full-graph degree scaling and input features gathered to the
- * subgraph's local ids. Kernels, loop orders, and per-row
- * accumulation order are identical to the whole-graph pass, so rows
- * of nodes whose L-hop neighborhood is inside the subgraph — in
- * particular every extraction target — are bit-identical to
- * referenceForward on the whole graph.
- */
-DenseMatrix subgraphForward(const CsrGraph &sub,
-                            const std::vector<float> &scale,
-                            const DenseMatrix &x,
-                            const std::vector<DenseMatrix> &weights);
-
-/**
- * Sparse-input overload: the first layer consumes CSR features
- * directly (sparseTimesDense — no densification). sparseTimesDense
- * accumulates each output element's stored entries in ascending
- * column order, the same order gemm accumulates its non-zero a(i,k)
- * terms, so on features whose dense image is x this overload is
- * bit-identical to the dense subgraphForward; layers past the first
- * share the exact dense chain.
- */
-DenseMatrix subgraphForward(const CsrGraph &sub,
-                            const std::vector<float> &scale,
-                            const CsrFeatures &x,
-                            const std::vector<DenseMatrix> &weights);
-
-/**
- * The layer chain past layer 0: given layer 0's pre-activation output
- * h1 = A_hat X W0, apply ReLU, combine with weights[l] and aggregate
- * over a_hat for every layer l >= 1. Both subgraphForward overloads
- * and the serving engine run this one sequence from their layer-0
- * product, so the rows they share are bit-identical.
- */
-DenseMatrix forwardPastLayer0(const CsrMatrix &a_hat, DenseMatrix h1,
-                              const std::vector<DenseMatrix> &weights);
 
 /** Binary adjacency with self loops, A + I (factored path). */
 CsrMatrix binaryAdjacencyWithSelfLoops(const CsrGraph &g);

@@ -278,83 +278,45 @@ CsrGraph::arcSource(EdgeId e) const
         rowPtr.begin() - 1);
 }
 
-std::vector<NodeId>
-lHopNodeSet(const CsrGraph &g, std::span<const NodeId> targets,
-            int hops)
+std::vector<std::vector<NodeId>>
+lHopFrontiers(const CsrGraph &g, std::span<const NodeId> targets,
+              int hops)
 {
+    if (hops < 0)
+        throw std::invalid_argument("lHopFrontiers: negative hops");
     const NodeId n = g.numNodes();
-    std::vector<uint8_t> in_set(n, 0);
-    std::vector<NodeId> nodes, frontier, next;
+    std::vector<uint8_t> seen(n, 0);
+    std::vector<NodeId> level;
     for (NodeId t : targets) {
         if (t >= n)
             throw std::out_of_range(
-                "lHopNodeSet: target exceeds num_nodes");
-        if (!in_set[t]) {
-            in_set[t] = 1;
-            nodes.push_back(t);
-            frontier.push_back(t);
+                "lHopFrontiers: target exceeds num_nodes");
+        if (!seen[t]) {
+            seen[t] = 1;
+            level.push_back(t);
         }
     }
-    for (int l = 0; l < hops && !frontier.empty(); ++l) {
+    std::vector<std::vector<NodeId>> sets(hops + 1);
+    std::sort(level.begin(), level.end());
+    sets[0] = level;
+    std::vector<NodeId> next;
+    for (int k = 1; k <= hops; ++k) {
+        // Expand the nodes first reached at depth k - 1; set k is set
+        // k - 1 merged with the nodes first reached at depth k.
         next.clear();
-        for (NodeId u : frontier)
+        for (NodeId u : level)
             for (NodeId v : g.neighbors(u))
-                if (!in_set[v]) {
-                    in_set[v] = 1;
-                    nodes.push_back(v);
+                if (!seen[v]) {
+                    seen[v] = 1;
                     next.push_back(v);
                 }
-        frontier.swap(next);
+        std::sort(next.begin(), next.end());
+        sets[k].resize(sets[k - 1].size() + next.size());
+        std::merge(sets[k - 1].begin(), sets[k - 1].end(), next.begin(),
+                   next.end(), sets[k].begin());
+        level.swap(next);
     }
-    std::sort(nodes.begin(), nodes.end());
-    return nodes;
-}
-
-LHopSubgraph
-inducedSubgraph(const CsrGraph &g, std::vector<NodeId> nodes,
-                std::span<const NodeId> targets)
-{
-    // Global -> local id map (kAbsent outside the set): O(1) per
-    // visited neighbor, over the same O(numNodes) scratch lHopNodeSet
-    // allocates.
-    constexpr NodeId kAbsent = ~NodeId{0};
-    const NodeId n = g.numNodes();
-    if (!nodes.empty() && nodes.back() >= n)
-        throw std::out_of_range(
-            "inducedSubgraph: node exceeds num_nodes");
-    std::vector<NodeId> local_of(n, kAbsent);
-    for (size_t l = 0; l < nodes.size(); ++l)
-        local_of[nodes[l]] = static_cast<NodeId>(l);
-
-    std::vector<EdgeId> rp(nodes.size() + 1, 0);
-    std::vector<NodeId> ci;
-    for (size_t l = 0; l < nodes.size(); ++l) {
-        // Global neighbor lists are ascending and the relabeling is
-        // monotone, so local rows come out ascending for free.
-        for (NodeId v : g.neighbors(nodes[l]))
-            if (local_of[v] != kAbsent)
-                ci.push_back(local_of[v]);
-        rp[l + 1] = ci.size();
-    }
-
-    LHopSubgraph out;
-    out.sub = CsrGraph::fromCsrArrays(std::move(rp), std::move(ci));
-    out.targetLocal.reserve(targets.size());
-    for (NodeId t : targets) {
-        if (t >= n || local_of[t] == kAbsent)
-            throw std::invalid_argument(
-                "inducedSubgraph: target not in node set");
-        out.targetLocal.push_back(local_of[t]);
-    }
-    out.nodes = std::move(nodes);
-    return out;
-}
-
-LHopSubgraph
-extractLHopSubgraph(const CsrGraph &g, std::span<const NodeId> targets,
-                    int hops)
-{
-    return inducedSubgraph(g, lHopNodeSet(g, targets, hops), targets);
+    return sets;
 }
 
 void

@@ -160,8 +160,8 @@ class CsrGraph
 
     /**
      * Adopt prebuilt CSR arrays directly (the O(E) path for callers
-     * that already produce sorted, deduplicated adjacency — subgraph
-     * extraction, merge-based edge insertion). Invariants are
+     * that already produce sorted, deduplicated adjacency, such as
+     * merge-based edge insertion). Invariants are
      * validated in O(E): row_ptr starts at 0, is monotone, and ends
      * at col_idx.size(); every row's columns are strictly ascending
      * and < numNodes.
@@ -330,60 +330,23 @@ class CsrGraph
 };
 
 /**
- * Receptive field of a micro-batch: the L-hop neighborhood of a set
- * of target nodes, relabeled to a compact sub-CSR.
+ * Nested L-hop frontiers of a target set: result[k] holds, as
+ * ascending ids, every node within k hops of a target (k = 0..hops),
+ * so result[0] is the deduplicated targets and result[k] is a subset
+ * of result[k + 1]. Built by one BFS over one O(numNodes) visited
+ * array, then one merge per level.
  *
- * Local ids are assigned by ascending *global* id, so each local
- * row's neighbor list preserves the global neighbor order exactly —
- * a forward pass over `sub` accumulates every row in the same order
- * as the whole-graph pass, which is what makes batched L-hop
- * inference bit-identical to whole-graph inference for the targets
- * (see subgraphForward in gcn/layer.hpp).
+ * This is the serving engine's receptive field, layer by layer: an
+ * L-layer GCN needs layer l's output (1-based) exactly on frontier
+ * L - l, and every row of frontier k has all of its neighbours in
+ * frontier k + 1 (see InferenceEngine).
+ *
+ * @throws std::out_of_range when a target is >= numNodes.
+ * @throws std::invalid_argument when hops < 0.
  */
-struct LHopSubgraph
-{
-    /** Subgraph nodes as ascending global ids; local id = position. */
-    std::vector<NodeId> nodes;
-    /** Local id of each requested target, in request order. */
-    std::vector<NodeId> targetLocal;
-    /** Induced subgraph over `nodes`, in local ids. */
-    CsrGraph sub;
-};
-
-/**
- * The L-hop node set alone: ascending global ids of every node
- * within `hops` of a target. Cheap relative to the sub-CSR build —
- * callers that may fall back to a whole-graph pass (the serving
- * engine's wholeGraphFraction check) decide on this before paying
- * for inducedSubgraph.
- */
-std::vector<NodeId> lHopNodeSet(const CsrGraph &g,
-                                std::span<const NodeId> targets,
-                                int hops);
-
-/**
- * Build the induced sub-CSR over `nodes` (ascending global ids, as
- * produced by lHopNodeSet) and bind `targets` (each must be in
- * `nodes`; duplicates allowed, one targetLocal entry per occurrence).
- * O(numNodes + edges of `nodes`).
- * @throws std::invalid_argument when a target is not in `nodes`.
- */
-LHopSubgraph inducedSubgraph(const CsrGraph &g,
-                             std::vector<NodeId> nodes,
-                             std::span<const NodeId> targets);
-
-/**
- * Extract the L-hop receptive subgraph of `targets` (duplicates
- * allowed; each occurrence gets a targetLocal entry). hops = L means
- * every node within distance L of a target is included, which is
- * exactly the input set an L-layer GCN needs to reproduce the
- * targets' outputs: after layer l, all nodes within distance L - l
- * of a target have full-graph-exact values, so after L layers the
- * targets do. Equivalent to inducedSubgraph over lHopNodeSet.
- */
-LHopSubgraph extractLHopSubgraph(const CsrGraph &g,
-                                 std::span<const NodeId> targets,
-                                 int hops);
+std::vector<std::vector<NodeId>>
+lHopFrontiers(const CsrGraph &g, std::span<const NodeId> targets,
+              int hops);
 
 /** Histogram of node degrees: result[d] = number of nodes of degree d. */
 std::vector<EdgeId> degreeHistogram(const CsrGraph &g);

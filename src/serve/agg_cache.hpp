@@ -8,8 +8,9 @@
  * nodes, in Island::nodes order, as the whole-graph forward computes
  * them. Entries are filled from rows the engine computed anyway
  * (never recomputed specially), so a hit substitutes bytes that are
- * bit-identical to what the masked spmm would have produced — the
- * cache can change *when* a row is computed but never *what* it is.
+ * bit-identical to what the first layer's pull would have produced —
+ * the cache can change *when* a row is computed but never *what* it
+ * is.
  *
  * Lineage: the cache stores exactly one epoch at a time. When the
  * applier publishes epoch E+1 with parent E, advanceTo() remaps

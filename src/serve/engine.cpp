@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -55,12 +56,24 @@ GraphStateHub::currentEpoch() const
     return current->epoch;
 }
 
+uint64_t
+BatchExecInfo::aggregatedRows() const
+{
+    return std::accumulate(layerRows.begin(), layerRows.end(),
+                           uint64_t{0});
+}
+
+uint64_t
+BatchExecInfo::aggregatedEntries() const
+{
+    return std::accumulate(layerEntries.begin(), layerEntries.end(),
+                           uint64_t{0});
+}
+
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                                  std::vector<DenseMatrix> weights,
-                                 double whole_graph_fraction,
                                  size_t feature_rows, size_t feature_cols)
-    : hub(std::move(hub)), weights(std::move(weights)),
-      wholeGraphFraction(whole_graph_fraction)
+    : hub(std::move(hub)), weights(std::move(weights))
 {
     if (!this->hub)
         throw std::invalid_argument("InferenceEngine: null hub");
@@ -83,11 +96,9 @@ InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
 
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                                  const Features &features,
-                                 std::vector<DenseMatrix> weights,
-                                 double whole_graph_fraction)
+                                 std::vector<DenseMatrix> weights)
     : InferenceEngine(std::move(hub), std::move(weights),
-                      whole_graph_fraction, features.rows(),
-                      features.cols())
+                      features.rows(), features.cols())
 {
     xw0 = features.sparse ? sparseTimesDense(features.csr, this->weights[0])
                           : gemm(features.dense, this->weights[0]);
@@ -95,170 +106,104 @@ InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
 
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                                  const DenseMatrix &features,
-                                 std::vector<DenseMatrix> weights,
-                                 double whole_graph_fraction)
+                                 std::vector<DenseMatrix> weights)
     : InferenceEngine(std::move(hub), std::move(weights),
-                      whole_graph_fraction, features.rows(),
-                      features.cols())
+                      features.rows(), features.cols())
 {
     xw0 = gemm(features, this->weights[0]);
 }
 
 namespace {
 
-/**
- * Copy an island entry's rows (member-order flat buffer) into the
- * matching rows of h1 under a local-id mapping, marking them skipped
- * and charging the adjacency entries (minus the self loop) the
- * masked spmm will not pull.
- */
-template <typename LocalOf>
-void
-substituteIslandRows(const Island &island, const float *rows,
-                     size_t hidden, const CsrMatrix &a_hat,
-                     LocalOf &&local_of, DenseMatrix &h1,
-                     std::vector<uint8_t> &skip,
-                     BatchExecInfo &info)
-{
-    for (size_t i = 0; i < island.nodes.size(); ++i) {
-        const size_t l = local_of(island.nodes[i]);
-        std::copy_n(rows + i * hidden, hidden, h1.row(l));
-        skip[l] = 1;
-        info.cacheSkippedEdges +=
-            a_hat.rowPtr[l + 1] - a_hat.rowPtr[l] - 1;
-    }
-    info.cacheHits++;
-    info.cacheRows += static_cast<uint32_t>(island.nodes.size());
-}
+constexpr NodeId kAbsent = ~NodeId{0};
 
-/** Gather an island's computed h1 rows into a fill buffer. */
-template <typename LocalOf>
-std::vector<float>
-gatherIslandRows(const Island &island, size_t hidden,
-                 const DenseMatrix &h1, LocalOf &&local_of)
+/** Charge one layer's pull: its unskipped rows and their entries. */
+void
+recordLayer(BatchExecInfo &info, const CsrMatrix &a_hat,
+            const std::vector<NodeId> &rows,
+            std::span<const uint8_t> skip)
 {
-    std::vector<float> rows(island.nodes.size() * hidden);
-    for (size_t i = 0; i < island.nodes.size(); ++i)
-        std::copy_n(h1.row(local_of(island.nodes[i])), hidden,
-                    rows.data() + i * hidden);
-    return rows;
+    uint32_t live = 0;
+    uint64_t entries = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (!skip.empty() && skip[i])
+            continue;
+        live++;
+        entries += a_hat.rowPtr[rows[i] + 1] - a_hat.rowPtr[rows[i]];
+    }
+    info.layerRows.push_back(live);
+    info.layerEntries.push_back(entries);
 }
 
 } // namespace
 
 DenseMatrix
-InferenceEngine::forwardWholeGraphCached(const GraphState &state,
-                                         BatchExecInfo &info) const
+InferenceEngine::firstLayer(const GraphState &state,
+                            const std::vector<NodeId> &rows,
+                            const std::vector<NodeId> &pos,
+                            BatchExecInfo &info) const
 {
-    // The whole-graph pass touches every island, so all of them are
-    // consultable and every miss can be filled — global layer-1 rows
-    // are exactly what the cache stores.
-    const IslandizationResult &isl = state.islands;
-    const size_t hidden = weights[0].cols();
-    const NodeId n = state.graph.numNodes();
-    DenseMatrix h1(n, hidden);
-    std::vector<uint8_t> skip(n, 0);
-    const auto identity = [](NodeId v) { return static_cast<size_t>(v); };
-    info.cacheEligible += static_cast<uint32_t>(isl.islands.size());
-    std::vector<uint32_t> missed;
-    std::vector<float> buf;
-    for (uint32_t id = 0; id < isl.islands.size(); ++id) {
-        const Island &island = isl.islands[id];
-        buf.resize(island.nodes.size() * hidden);
-        if (aggCache->lookup(state.epoch, id, buf.size(), buf.data()))
-            substituteIslandRows(island, buf.data(), hidden,
-                                 state.normAdj, identity, h1, skip,
-                                 info);
-        else
-            missed.push_back(id);
+    const CsrMatrix &a_hat = state.normAdj;
+    DenseMatrix h1(rows.size(), xw0.cols());
+    if (!aggCache) {
+        spmmPullRows(a_hat, rows, xw0, {}, h1);
+        recordLayer(info, a_hat, rows, {});
+        return h1;
     }
-    spmmPullRowWiseMasked(state.normAdj, xw0, skip, h1);
-    for (uint32_t id : missed) {
-        aggCache->insert(state.epoch, id,
-                         gatherIslandRows(isl.islands[id], hidden, h1,
-                                          identity));
-        info.cacheFills++;
-    }
-    return forwardPastLayer0(state.normAdj, std::move(h1), weights);
-}
 
-DenseMatrix
-InferenceEngine::forwardSubgraphCached(const GraphState &state,
-                                       const LHopSubgraph &ext,
-                                       const CsrMatrix &a_hat,
-                                       const DenseMatrix &xw0_local,
-                                       BatchExecInfo &info) const
-{
-    // Only layer-1 aggregation rows are cached; the layer-0 product
-    // comes from the engine's X W0 table, as on the uncached path.
+    // A first-layer row is a global A_hat row against the global
+    // X W0 table — exactly what the cache stores. So an island is
+    // consulted, and filled on a miss, iff all its members are
+    // first-layer rows of this batch.
+    aggCache->advanceTo(state);
     const IslandizationResult &isl = state.islands;
-    const size_t hidden = weights[0].cols();
-
-    // An island qualifies when its members AND its hub list are all
-    // inside the receptive field: then every member's full global
-    // neighborhood is present (the coverage invariant bounds it by
-    // island ∪ hubs), local ids preserve ascending global order, and
-    // the full-graph scaling is identical — so the island's in-sub
-    // layer-1 member rows equal the whole-graph rows bitwise, making
-    // cached global rows substitutable and computed ones fillable.
-    std::vector<uint8_t> in_field(state.graph.numNodes(), 0);
-    for (NodeId v : ext.nodes)
-        in_field[v] = 1;
+    const size_t hidden = h1.cols();
     std::vector<uint32_t> candidates;
-    for (NodeId v : ext.nodes)
+    for (NodeId v : rows)
         if (isl.role[v] == NodeRole::IslandNode)
             candidates.push_back(isl.islandOf[v]);
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(
         std::unique(candidates.begin(), candidates.end()),
         candidates.end());
-    std::vector<uint32_t> qualifying;
-    for (uint32_t id : candidates) {
-        const Island &island = isl.islands[id];
-        bool interior = true;
-        for (NodeId m : island.nodes)
-            if (!in_field[m]) {
-                interior = false;
-                break;
-            }
-        if (interior)
-            for (NodeId h : island.hubs)
-                if (!in_field[h]) {
-                    interior = false;
-                    break;
-                }
-        if (interior)
-            qualifying.push_back(id);
-    }
-    info.cacheEligible += static_cast<uint32_t>(qualifying.size());
 
-    const auto local_of = [&ext](NodeId gid) {
-        return static_cast<size_t>(
-            std::lower_bound(ext.nodes.begin(), ext.nodes.end(),
-                             gid) -
-            ext.nodes.begin());
-    };
-    DenseMatrix h1(ext.nodes.size(), hidden);
-    std::vector<uint8_t> skip(ext.nodes.size(), 0);
+    std::vector<uint8_t> skip(rows.size(), 0);
     std::vector<uint32_t> missed;
     std::vector<float> buf;
-    for (uint32_t id : qualifying) {
-        const Island &island = isl.islands[id];
-        buf.resize(island.nodes.size() * hidden);
-        if (aggCache->lookup(state.epoch, id, buf.size(), buf.data()))
-            substituteIslandRows(island, buf.data(), hidden, a_hat,
-                                 local_of, h1, skip, info);
-        else
+    for (uint32_t id : candidates) {
+        const std::vector<NodeId> &members = isl.islands[id].nodes;
+        if (!std::all_of(members.begin(), members.end(),
+                         [&pos](NodeId m) { return pos[m] != kAbsent; }))
+            continue;
+        info.cacheEligible++;
+        buf.resize(members.size() * hidden);
+        if (!aggCache->lookup(state.epoch, id, buf.size(),
+                              buf.data())) {
             missed.push_back(id);
+            continue;
+        }
+        for (size_t i = 0; i < members.size(); ++i) {
+            const NodeId r = pos[members[i]];
+            std::copy_n(buf.data() + i * hidden, hidden, h1.row(r));
+            skip[r] = 1;
+            info.cacheSkippedEdges += a_hat.rowPtr[members[i] + 1] -
+                                      a_hat.rowPtr[members[i]];
+        }
+        info.cacheHits++;
+        info.cacheRows += static_cast<uint32_t>(members.size());
     }
-    spmmPullRowWiseMasked(a_hat, xw0_local, skip, h1);
+    spmmPullRows(a_hat, rows, xw0, {}, h1, skip);
+    recordLayer(info, a_hat, rows, skip);
     for (uint32_t id : missed) {
-        aggCache->insert(state.epoch, id,
-                         gatherIslandRows(isl.islands[id], hidden, h1,
-                                          local_of));
+        const std::vector<NodeId> &members = isl.islands[id].nodes;
+        std::vector<float> fill(members.size() * hidden);
+        for (size_t i = 0; i < members.size(); ++i)
+            std::copy_n(h1.row(pos[members[i]]), hidden,
+                        fill.data() + i * hidden);
+        aggCache->insert(state.epoch, id, std::move(fill));
         info.cacheFills++;
     }
-    return forwardPastLayer0(a_hat, std::move(h1), weights);
+    return h1;
 }
 
 std::vector<InferenceResult>
@@ -281,87 +226,64 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         targets.push_back(r.node);
     }
 
-    // Island-aware clustering: deduplicate, then seed extraction
-    // island-by-island so co-batched targets from one community are
-    // expanded together and their shared neighborhoods are discovered
-    // once, while they are still close in the traversal.
-    std::vector<NodeId> uniq = targets;
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    const auto &island_of = state->islands.islandOf;
-    std::stable_sort(uniq.begin(), uniq.end(),
-                     [&island_of](NodeId a, NodeId b) {
-                         return island_of[a] < island_of[b];
-                     });
+    // frontiers[k]: every node within k hops of a target. Layer l
+    // (1-based) of L is read only within L - l hops, so it is
+    // computed on frontier L - l alone; frontier L itself is never
+    // built, as layer 1 reads X W0 rows straight from the table.
+    const int layers = numLayers();
+    const std::vector<std::vector<NodeId>> frontiers =
+        lHopFrontiers(g, targets, layers - 1);
 
     BatchExecInfo local_info;
     local_info.epoch = state->epoch;
     local_info.targets = static_cast<uint32_t>(targets.size());
-    local_info.uniqueTargets = static_cast<uint32_t>(uniq.size());
+    local_info.uniqueTargets =
+        static_cast<uint32_t>(frontiers.front().size());
+    // The BFS expanded every node of frontier L - 2.
+    local_info.bfsWork = frontiers.back().size();
+    if (layers >= 2)
+        for (NodeId v : frontiers[layers - 2])
+            local_info.bfsWork += g.degree(v);
 
-    // The node set alone decides the path; the sub-CSR is only built
-    // when the subgraph path is actually taken.
-    std::vector<NodeId> field = lHopNodeSet(g, uniq, numLayers());
-    DenseMatrix out;             // forward output rows
-    std::vector<NodeId> out_row; // row of `out` per request
-    if (static_cast<double>(field.size()) >=
-        wholeGraphFraction * static_cast<double>(n)) {
-        // Receptive field covers most of the graph: the cached
-        // whole-graph A_hat is cheaper than building a sub-CSR of
-        // nearly the same size.
-        local_info.wholeGraph = true;
-        if (aggCache) {
-            aggCache->advanceTo(*state);
-            out = forwardWholeGraphCached(*state, local_info);
-        } else {
-            out = forwardPastLayer0(
-                state->normAdj, spmmPullRowWise(state->normAdj, xw0),
-                weights);
-        }
-        out_row = std::move(targets);
-    } else {
-        LHopSubgraph ext = inducedSubgraph(g, std::move(field), targets);
-        local_info.subNodes =
-            static_cast<uint32_t>(ext.nodes.size());
-        local_info.subEdges = ext.sub.numEdges();
-        std::vector<float> scale_local(ext.nodes.size());
-        DenseMatrix xw0_local(ext.nodes.size(), xw0.cols());
-        for (size_t l = 0; l < ext.nodes.size(); ++l) {
-            scale_local[l] = state->scale[ext.nodes[l]];
-            std::copy_n(xw0.row(ext.nodes[l]), xw0.cols(),
-                        xw0_local.row(l));
-        }
-        CsrMatrix a_hat = normalizedAdjacencyScaled(ext.sub, scale_local);
-        if (aggCache) {
-            // The cached chain is the uncached one with layer-1 rows
-            // of fully-interior islands substituted (bit-identical by
-            // construction; see forwardSubgraphCached).
-            aggCache->advanceTo(*state);
-            out = forwardSubgraphCached(*state, ext, a_hat, xw0_local,
-                                        local_info);
-        } else {
-            out = forwardPastLayer0(
-                a_hat, spmmPullRowWise(a_hat, xw0_local), weights);
-        }
-        out_row = std::move(ext.targetLocal);
+    // pos[v]: v's row in the latest layer output (kAbsent before v
+    // was ever a row) — the next layer's column map. Frontiers
+    // shrink, so a stale entry is never read: a row of frontier k
+    // reads only frontier k + 1, whose positions are current.
+    std::vector<NodeId> pos(n, kAbsent);
+    const auto index_rows = [&pos](const std::vector<NodeId> &rows) {
+        for (size_t i = 0; i < rows.size(); ++i)
+            pos[rows[i]] = static_cast<NodeId>(i);
+    };
+    index_rows(frontiers[layers - 1]);
+    DenseMatrix h =
+        firstLayer(*state, frontiers[layers - 1], pos, local_info);
+    for (int l = 1; l < layers; ++l) {
+        const std::vector<NodeId> &rows = frontiers[layers - 1 - l];
+        reluInPlace(h);
+        const DenseMatrix xw = gemm(h, weights[l]);
+        h = DenseMatrix(rows.size(), xw.cols());
+        spmmPullRows(state->normAdj, rows, xw, pos, h);
+        recordLayer(local_info, state->normAdj, rows, {});
+        index_rows(rows);
     }
 
+    // h now holds frontier 0 (the unique targets), indexed by pos.
     std::vector<InferenceResult> results;
     results.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
+    for (const Request &req : batch) {
         InferenceResult res;
-        res.id = batch[i].id;
-        res.node = batch[i].node;
-        res.tenant = batch[i].tenant;
+        res.id = req.id;
+        res.node = req.node;
+        res.tenant = req.tenant;
         res.epoch = state->epoch;
-        res.arrivalUs = batch[i].arrivalUs;
+        res.arrivalUs = req.arrivalUs;
         res.batchSize = static_cast<uint32_t>(batch.size());
-        res.logits.assign(out.row(out_row[i]),
-                          out.row(out_row[i]) + numClasses());
+        const float *row = h.row(pos[req.node]);
+        res.logits.assign(row, row + numClasses());
         results.push_back(std::move(res));
     }
     if (info)
-        *info = local_info;
+        *info = std::move(local_info);
     return results;
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Graph-state epochs and the micro-batched L-hop inference engine.
+ * Graph-state epochs and the micro-batched L-hop inference engine,
+ * which aggregates each GCN layer only on the frontier of rows the
+ * next layer reads, straight over the epoch's global A_hat.
  *
  * Concurrency model (the subsystem's torn-read story): everything
  * inference reads — graph, islandization, degree scaling, the
- * whole-graph A_hat — lives in one immutable GraphState. States are
+ * global A_hat — lives in one immutable GraphState. States are
  * published through the GraphStateHub: a reader acquires a
  * shared_ptr snapshot for the duration of a batch and can never
  * observe a half-applied update; the writer builds the next epoch
@@ -36,9 +38,9 @@ struct GraphState
     uint64_t epoch = 0;
     CsrGraph graph;
     IslandizationResult islands;
-    /** degreeScaling(graph); gathered per subgraph by the engine. */
+    /** degreeScaling(graph), the scaling normAdj is built with. */
     std::vector<float> scale;
-    /** Whole-graph A_hat for the large-batch fallback path. */
+    /** Global A_hat; every batch pulls its frontier rows from it. */
     CsrMatrix normAdj;
 
     // Epoch delta for per-island aggregation caches (AggCache).
@@ -89,23 +91,34 @@ struct BatchExecInfo
     uint64_t epoch = 0;
     uint32_t targets = 0;
     uint32_t uniqueTargets = 0;
-    /** Receptive-field size (0 on the whole-graph path). */
-    uint32_t subNodes = 0;
-    uint64_t subEdges = 0;
-    /** True when the batch fell back to a whole-graph pass. */
-    bool wholeGraph = false;
+    /** Work of the frontier BFS: the nodes it reached (the deepest
+     *  frontier) plus the adjacency entries it scanned. */
+    uint64_t bfsWork = 0;
+    /**
+     * Per layer, first layer at index 0: the A_hat rows the layer
+     * aggregated and the A_hat entries (self loops included) those
+     * rows read. Rows substituted from the aggregation cache are not
+     * aggregated, so they count in neither.
+     */
+    std::vector<uint32_t> layerRows;
+    std::vector<uint64_t> layerEntries;
+
+    /** Sum of layerRows. */
+    uint64_t aggregatedRows() const;
+    /** Sum of layerEntries. */
+    uint64_t aggregatedEntries() const;
 
     // Aggregation-cache accounting (all zero when no cache attached).
-    /** Islands fully interior to the receptive field (consultable). */
+    /** Islands whose members are all first-layer rows (consulted). */
     uint32_t cacheEligible = 0;
     /** Of those, islands served from the cache. */
     uint32_t cacheHits = 0;
     /** Entries filled from this batch's computed rows. */
     uint32_t cacheFills = 0;
-    /** Layer-1 rows substituted from the cache. */
+    /** First-layer rows substituted from the cache. */
     uint32_t cacheRows = 0;
-    /** Adjacency entries (self loops excluded) the masked layer-1
-     *  spmm skipped thanks to those rows. */
+    /** A_hat entries of those rows, which the first layer's pull
+     *  skipped (already excluded from layerEntries[0]). */
     uint64_t cacheSkippedEdges = 0;
 };
 
@@ -115,23 +128,25 @@ struct BatchExecInfo
  * Combination runs first, as in I-GCN: features and weights never
  * change (updates only edit edges), so the engine computes the
  * layer-0 product X W0 once, at construction, and keeps that
- * N x hidden table instead of X. A batch's receptive field is
- * extracted with L = numLayers() hops, seeded island-by-island
- * (targets ordered by the epoch's islandOf, clustering co-batched
- * targets so overlapping neighborhoods are discovered together); its
- * rows of the table are gathered and run through the layer chain
- * (forwardPastLayer0) with the full-graph degree scaling. When the
- * receptive field exceeds wholeGraphFraction of the graph the engine
- * aggregates the whole table over the epoch's cached A_hat instead:
- * the forward would touch nearly every node either way, and the
- * cached A_hat skips the sub-CSR rebuild and row gathers.
+ * N x hidden table instead of X.
  *
- * gemm and sparseTimesDense compute each output row on its own, in
- * ascending-k order, so a table row is byte-equal to the row a
- * per-batch layer-0 product would compute: served logits are
- * bit-identical to whole-graph reference inference per target, for
- * dense and CSR (Features::sparse) features alike, at any
- * IGCN_THREADS.
+ * A batch then runs layer by layer on nested frontiers
+ * (lHopFrontiers, one BFS): with L layers, layer l (1-based) is
+ * needed only within L - l hops of the targets, so it aggregates
+ * exactly the rows of frontier L - l. Layer 1 pulls those rows of
+ * the epoch's global A_hat against the global X W0 table, with no
+ * gather and no sub-CSR; each later layer applies ReLU and gemm on
+ * the previous frontier's rows and pulls its own frontier through a
+ * column map into them (spmmPullRows). Only the targets' rows exist
+ * at the end.
+ *
+ * Bit-identity: every row of frontier k has all its neighbours in
+ * frontier k + 1, so each pulled row reads the same global A_hat
+ * entries, in the same order, with the same global scaling, as the
+ * whole-graph pass; spmmPullRows and gemm compute each output row on
+ * its own. Served logits are therefore bit-identical to whole-graph
+ * reference inference per target, for dense and CSR
+ * (Features::sparse) features alike, at any IGCN_THREADS.
  *
  * runBatch is const and thread-safe: concurrent batches and a
  * concurrent update writer interact only through the hub.
@@ -147,14 +162,12 @@ class InferenceEngine
      */
     InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                     const Features &features,
-                    std::vector<DenseMatrix> weights,
-                    double whole_graph_fraction = 0.5);
+                    std::vector<DenseMatrix> weights);
 
     /** Dense-feature convenience ctor (the pre-sparse API). */
     InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                     const DenseMatrix &features,
-                    std::vector<DenseMatrix> weights,
-                    double whole_graph_fraction = 0.5);
+                    std::vector<DenseMatrix> weights);
 
     int numLayers() const { return static_cast<int>(weights.size()); }
     size_t numClasses() const { return weights.back().cols(); }
@@ -162,10 +175,11 @@ class InferenceEngine
     /**
      * Attach (or detach, nullptr) a per-island layer-1 aggregation
      * cache. With a cache attached the engine substitutes cached
-     * rows for islands fully interior to a batch's receptive field
-     * and fills misses from the rows it computes anyway — logits are
-     * bit-identical to the cacheless engine by construction (see
-     * agg_cache.hpp). Not owned; must outlive the engine's batches.
+     * rows for islands whose members are all first-layer rows of a
+     * batch and fills misses from the rows it computes anyway —
+     * logits are bit-identical to the cacheless engine by
+     * construction (see agg_cache.hpp). Not owned; must outlive the
+     * engine's batches.
      */
     void attachAggCache(AggCache *cache) { aggCache = cache; }
 
@@ -178,22 +192,22 @@ class InferenceEngine
     /** Shared by the public ctors: validates everything but X W0. */
     InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                     std::vector<DenseMatrix> weights,
-                    double whole_graph_fraction, size_t feature_rows,
-                    size_t feature_cols);
+                    size_t feature_rows, size_t feature_cols);
 
-    DenseMatrix forwardWholeGraphCached(const GraphState &state,
-                                        BatchExecInfo &info) const;
-    DenseMatrix forwardSubgraphCached(const GraphState &state,
-                                      const LHopSubgraph &ext,
-                                      const CsrMatrix &a_hat,
-                                      const DenseMatrix &xw0_local,
-                                      BatchExecInfo &info) const;
+    /**
+     * Layer 1 on `rows` (ascending global ids; pos[v] = position of
+     * v in rows, kAbsent elsewhere): A_hat rows against X W0, with
+     * cached islands substituted when a cache is attached.
+     */
+    DenseMatrix firstLayer(const GraphState &state,
+                           const std::vector<NodeId> &rows,
+                           const std::vector<NodeId> &pos,
+                           BatchExecInfo &info) const;
 
     std::shared_ptr<GraphStateHub> hub;
     std::vector<DenseMatrix> weights;
     /** X W0 over every node (row v = node v), computed once. */
     DenseMatrix xw0;
-    double wholeGraphFraction;
     AggCache *aggCache = nullptr;
 };
 

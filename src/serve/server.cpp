@@ -7,26 +7,15 @@
 namespace igcn::serve {
 
 uint64_t
-ServiceModel::inferenceCostUs(const BatchExecInfo &info,
-                              NodeId graph_nodes,
-                              EdgeId graph_edges) const
+ServiceModel::inferenceCostUs(const BatchExecInfo &info) const
 {
-    const double nodes = info.wholeGraph
-        ? static_cast<double>(graph_nodes)
-        : static_cast<double>(info.subNodes);
-    double edges = info.wholeGraph
-        ? static_cast<double>(graph_edges)
-        : static_cast<double>(info.subEdges);
-    // Aggregation-cache hits skip the layer-1 edge sweep for the
-    // substituted rows; the cost model charges only the edges the
-    // batch actually traversed. Skipped edges never exceed the
-    // batch's edge count (self-loops are excluded from the skip
-    // accounting), but clamp defensively.
-    edges = std::max(
-        0.0, edges - static_cast<double>(info.cacheSkippedEdges));
+    // Rows served from the aggregation cache are absent from the
+    // layer counts, so cache hits shrink the charge by exactly the
+    // aggregation they avoided.
     const double cost = inferenceFixedUs +
         perTargetUs * static_cast<double>(info.targets) +
-        perSubNodeUs * nodes + perSubEdgeUs * edges;
+        perSubNodeUs * static_cast<double>(info.aggregatedRows()) +
+        perSubEdgeUs * static_cast<double>(info.aggregatedEntries());
     return static_cast<uint64_t>(std::ceil(cost));
 }
 
@@ -46,7 +35,7 @@ Server::Server(CsrGraph g, const Features &features,
     : cfg(cfg),
       hub(std::make_shared<GraphStateHub>(
           makeGraphState(std::move(g), cfg.locator))),
-      engine(hub, features, std::move(weights), cfg.wholeGraphFraction),
+      engine(hub, features, std::move(weights)),
       applier(hub, cfg.locator)
 {
     if (cfg.aggCache.enabled) {
@@ -60,7 +49,7 @@ Server::Server(CsrGraph g, const DenseMatrix &features,
     : cfg(cfg),
       hub(std::make_shared<GraphStateHub>(
           makeGraphState(std::move(g), cfg.locator))),
-      engine(hub, features, std::move(weights), cfg.wholeGraphFraction),
+      engine(hub, features, std::move(weights)),
       applier(hub, cfg.locator)
 {
     if (cfg.aggCache.enabled) {
@@ -84,16 +73,11 @@ Server::nowUs() const
 void
 Server::traceInferenceBatch(uint64_t formed_us, uint64_t done_us,
                             const BatchExecInfo &info,
-                            const std::vector<InferenceResult> &results,
-                            NodeId graph_nodes, EdgeId graph_edges)
+                            const std::vector<InferenceResult> &results)
 {
     if (!tracer.enabled())
         return;
     const uint64_t seq = batchSeq++;
-    const uint64_t nodes =
-        info.wholeGraph ? graph_nodes : info.subNodes;
-    const uint64_t edges =
-        info.wholeGraph ? graph_edges : info.subEdges;
     const uint64_t dur = done_us - formed_us;
     tracer.complete(obs::kLaneServer, "infer-batch", "serve",
                     formed_us, dur,
@@ -101,9 +85,8 @@ Server::traceInferenceBatch(uint64_t formed_us, uint64_t done_us,
                      {"size", results.size()},
                      {"epoch", info.epoch},
                      {"targets", info.targets},
-                     {"sub_nodes", nodes},
-                     {"sub_edges", edges},
-                     {"whole_graph", info.wholeGraph ? 1u : 0u},
+                     {"rows", info.aggregatedRows()},
+                     {"entries", info.aggregatedEntries()},
                      {"cache_eligible", info.cacheEligible},
                      {"cache_hits", info.cacheHits},
                      {"cache_fills", info.cacheFills},
@@ -112,14 +95,16 @@ Server::traceInferenceBatch(uint64_t formed_us, uint64_t done_us,
 
     // Phase children subdividing [formed, done] proportionally to
     // integer work units (+1 floors so a phase never vanishes):
-    // gather walks the receptive field, each layer sweeps its edges,
-    // respond fans results out. Integer arithmetic throughout, so
-    // the subdivision is identical at every thread count.
+    // gather is the frontier BFS, each layer pulls its own rows and
+    // entries, respond fans results out. Integer arithmetic
+    // throughout, so the subdivision is identical at every thread
+    // count.
     std::vector<std::pair<std::string, uint64_t>> phases;
-    phases.emplace_back("gather", nodes + 1);
-    for (int l = 0; l < engine.numLayers(); ++l)
+    phases.emplace_back("gather", info.bfsWork + 1);
+    for (size_t l = 0; l < info.layerRows.size(); ++l)
         phases.emplace_back("layer" + std::to_string(l),
-                            edges + info.targets + 1);
+                            info.layerEntries[l] + info.layerRows[l] +
+                                1);
     phases.emplace_back("respond",
                         static_cast<uint64_t>(results.size()) + 1);
     uint64_t total = 0;
@@ -215,13 +200,9 @@ Server::handleDecision(SloScheduler::Decision &d, bool real_time,
         BatchExecInfo info;
         std::vector<InferenceResult> results =
             engine.runBatch(d.batch.requests, &info);
-        const auto state = hub->acquire();
         const uint64_t done = real_time
             ? nowUs()
-            : d.batch.formedAtUs +
-                cfg.service.inferenceCostUs(info,
-                                            state->graph.numNodes(),
-                                            state->graph.numEdges());
+            : d.batch.formedAtUs + cfg.service.inferenceCostUs(info);
         for (size_t i = 0; i < results.size(); ++i) {
             InferenceResult &r = results[i];
             r.startUs = d.batch.formedAtUs;
@@ -230,9 +211,7 @@ Server::handleDecision(SloScheduler::Decision &d, bool real_time,
             r.deadlineUs = d.batch.requests[i].deadlineUs;
             r.freshness = d.batch.requests[i].freshness;
         }
-        traceInferenceBatch(d.batch.formedAtUs, done, info, results,
-                            state->graph.numNodes(),
-                            state->graph.numEdges());
+        traceInferenceBatch(d.batch.formedAtUs, done, info, results);
         for (InferenceResult &r : results) {
             statsAcc.recordInference(r);
             report.inference.push_back(std::move(r));

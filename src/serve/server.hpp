@@ -42,7 +42,8 @@ namespace igcn::serve {
 /**
  * Deterministic virtual service-cost model: completion time of a
  * batch = dispatch time + a cost affine in the work actually done
- * (targets, receptive-field size, islandization repair effort). All
+ * (targets, rows and A_hat entries aggregated, islandization repair
+ * effort). All
  * inputs are exact integers from the execution, so replay timing is
  * reproducible to the microsecond.
  */
@@ -50,7 +51,9 @@ struct ServiceModel
 {
     double inferenceFixedUs = 5.0;
     double perTargetUs = 0.5;
+    /** Per A_hat row aggregated, summed over layers. */
     double perSubNodeUs = 0.02;
+    /** Per A_hat entry those rows read. */
     double perSubEdgeUs = 0.005;
     double updateFixedUs = 20.0;
     double perAppliedEdgeUs = 1.0;
@@ -59,9 +62,7 @@ struct ServiceModel
     double perRemovedEdgeUs = 1.0;
     double perScannedEdgeUs = 0.02;
 
-    uint64_t inferenceCostUs(const BatchExecInfo &info,
-                             NodeId graph_nodes,
-                             EdgeId graph_edges) const;
+    uint64_t inferenceCostUs(const BatchExecInfo &info) const;
     uint64_t updateCostUs(const UpdateResult &res) const;
 };
 
@@ -84,8 +85,6 @@ struct ServerConfig
     SchedulerConfig scheduler;
     LocatorConfig locator;
     ServiceModel service;
-    /** Receptive-field fraction above which the engine goes whole-graph. */
-    double wholeGraphFraction = 0.5;
     /** SLO layer: admission control, EDF + drop-expired, bounded
      *  staleness. The default sets no limits (see SloConfig). */
     SloConfig slo;
@@ -178,8 +177,7 @@ class Server
     // execution, so replay traces are thread-count-exact.
     void traceInferenceBatch(uint64_t formed_us, uint64_t done_us,
                              const BatchExecInfo &info,
-                             const std::vector<InferenceResult> &results,
-                             NodeId graph_nodes, EdgeId graph_edges);
+                             const std::vector<InferenceResult> &results);
     void traceUpdateBatch(const UpdateResult &res);
     void traceRejection(const Rejection &rej, bool dropped);
 

@@ -93,16 +93,12 @@ ServerStats::ServerStats()
                       "Malformed update events dropped");
     edgesNoop = &reg->counter("igcn_serve_edges_skipped_noop_total",
                               {}, "No-op update events skipped");
-    wholeGraph = &reg->counter("igcn_serve_whole_graph_batches_total",
-                               {}, "Batches run on the whole graph");
     interleaveCount =
         &reg->counter("igcn_serve_interleaves_total", {},
                       "Inference <-> update transitions");
-    subNodesTotal =
-        &reg->counter("igcn_serve_subgraph_nodes_total", {},
-                      "Receptive-field nodes over subgraph batches");
-    subBatchesTotal = &reg->counter(
-        "igcn_serve_subgraph_batches_total", {}, "Subgraph batches");
+    aggregatedRows =
+        &reg->counter("igcn_serve_aggregated_rows_total", {},
+                      "A_hat rows aggregated, all layers");
     staleServeCount =
         &reg->counter("igcn_serve_stale_serves_total", {},
                       "Requests served a non-fresh epoch");
@@ -236,12 +232,7 @@ ServerStats::recordInferenceBatch(const BatchExecInfo &info)
                  {{"size", std::to_string(info.targets)}},
                  "Inference batches by batch size")
         .inc();
-    if (info.wholeGraph) {
-        wholeGraph->inc();
-    } else {
-        subNodesTotal->add(info.subNodes);
-        subBatchesTotal->inc();
-    }
+    aggregatedRows->add(info.aggregatedRows());
     const int kind = static_cast<int>(RequestKind::Inference);
     if (lastKind >= 0 && lastKind != kind)
         interleaveCount->inc();
@@ -469,12 +460,6 @@ ServerStats::edgesSkippedNoop() const
 }
 
 uint64_t
-ServerStats::wholeGraphBatches() const
-{
-    return wholeGraph->value();
-}
-
-uint64_t
 ServerStats::interleaves() const
 {
     return interleaveCount->value();
@@ -542,12 +527,12 @@ ServerStats::aggCacheHitRate() const
 }
 
 double
-ServerStats::meanSubgraphNodes() const
+ServerStats::meanAggregatedRows() const
 {
-    if (subBatchesTotal->value() == 0)
+    if (infBatches->value() == 0)
         return 0.0;
-    return static_cast<double>(subNodesTotal->value()) /
-           static_cast<double>(subBatchesTotal->value());
+    return static_cast<double>(aggregatedRows->value()) /
+           static_cast<double>(infBatches->value());
 }
 
 std::string
@@ -558,19 +543,17 @@ ServerStats::summary() const
     char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
-        "inference: %llu requests in %llu batches (mean %.1f/batch, "
-        "%llu whole-graph)\n"
+        "inference: %llu requests in %llu batches (mean %.1f/batch)\n"
         "latency us: p50 %.0f  p95 %.0f  p99 %.0f  mean %.1f  max %llu\n"
         "throughput: %.0f req/s (server-clock makespan)\n"
         "updates: %llu applications (%llu requests coalesced, "
         "%llu edges added, %llu removed, %llu epochs; "
         "skipped %llu invalid + %llu no-op)\n"
         "update latency us: p50 %.0f  p99 %.0f\n"
-        "interleaves: %llu  mean receptive field: %.1f nodes\n",
+        "interleaves: %llu  mean aggregated rows: %.1f per batch\n",
         static_cast<unsigned long long>(inf.count),
         static_cast<unsigned long long>(infBatches->value()),
-        meanBatchSize(),
-        static_cast<unsigned long long>(wholeGraph->value()), inf.p50,
+        meanBatchSize(), inf.p50,
         inf.p95, inf.p99, inf.meanUs,
         static_cast<unsigned long long>(inf.maxUs), throughputRps(),
         static_cast<unsigned long long>(updBatches->value()),
@@ -582,7 +565,7 @@ ServerStats::summary() const
         static_cast<unsigned long long>(edgesNoop->value()),
         upd.p50, upd.p99,
         static_cast<unsigned long long>(interleaveCount->value()),
-        meanSubgraphNodes());
+        meanAggregatedRows());
     std::string out = buf;
     if (aggHits->value() + aggMisses->value() > 0) {
         std::snprintf(

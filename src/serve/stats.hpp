@@ -149,11 +149,11 @@ class ServerStats
     uint64_t edgesSkippedInvalid() const;
     /** Update events with no presence change (benign duplicates). */
     uint64_t edgesSkippedNoop() const;
-    uint64_t wholeGraphBatches() const;
     /** Inference <-> update transitions in dispatch order. */
     uint64_t interleaves() const;
     double meanBatchSize() const;
-    double meanSubgraphNodes() const;
+    /** A_hat rows aggregated per inference batch, all layers. */
+    double meanAggregatedRows() const;
 
     // Aggregation-cache accessors (all zero when the cache is off).
     uint64_t aggCacheHits() const;
@@ -205,10 +205,8 @@ class ServerStats
     obs::Counter *edgesDropped;
     obs::Counter *edgesInvalid;
     obs::Counter *edgesNoop;
-    obs::Counter *wholeGraph;
     obs::Counter *interleaveCount;
-    obs::Counter *subNodesTotal;
-    obs::Counter *subBatchesTotal;
+    obs::Counter *aggregatedRows;
     obs::Counter *staleServeCount;
     obs::Counter *strictViolations;
     obs::Counter *aggHits;

@@ -59,12 +59,22 @@ checkShapes(const CsrMatrix &a, const DenseMatrix &b)
  * per pass. Per output element the entries accumulate in index order
  * regardless of the split or tiling, so the result is bit-identical
  * at any thread count.
+ *
+ * kRowList: output row i gathers index row rows[i] (not row i), and
+ * rows with skip[i] != 0 (when skip is non-null) are left untouched.
+ * kColMap: entry column j reads B row col_map[j] (not row j). Both
+ * only change which row is addressed, never the accumulation order,
+ * so an output row is byte-equal to the same index row's output in
+ * the plain <false, false> instantiation.
  */
+template <bool kRowList, bool kColMap>
 void
 gatherTiled(const std::vector<EdgeId> &ptr,
             const std::vector<NodeId> &idx,
             const std::vector<float> &val, const DenseMatrix &b,
-            DenseMatrix &c, const uint8_t *skip_row = nullptr)
+            DenseMatrix &c, const NodeId *rows = nullptr,
+            const NodeId *col_map = nullptr,
+            const uint8_t *skip = nullptr)
 {
     const size_t channels = b.cols();
     constexpr size_t kChannelTile = 64;
@@ -77,16 +87,17 @@ gatherTiled(const std::vector<EdgeId> &ptr,
         for (size_t ch0 = 0; ch0 < channels; ch0 += kChannelTile) {
             const size_t ch1 = std::min(channels, ch0 + kChannelTile);
             for (size_t i = r0; i < r1; ++i) {
-                // The skip never reorders anything: each unskipped
-                // row accumulates exactly as without a mask (rows
-                // are single-worker), so masking preserves the
-                // kernel's bit-identity contract row by row.
-                if (skip_row && skip_row[i])
-                    continue;
+                size_t r = i;
+                if constexpr (kRowList) {
+                    if (skip && skip[i])
+                        continue;
+                    r = rows[i];
+                }
                 float *crow = c.row(i);
-                for (EdgeId e = ptr[i]; e < ptr[i + 1]; ++e) {
+                for (EdgeId e = ptr[r]; e < ptr[r + 1]; ++e) {
                     const float v = val[e];
-                    const float *brow = b.row(idx[e]);
+                    const float *brow =
+                        b.row(kColMap ? col_map[idx[e]] : idx[e]);
                     for (size_t ch = ch0; ch < ch1; ++ch)
                         crow[ch] += v * brow[ch];
                 }
@@ -111,7 +122,7 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
     // resident in L1/L2 across the edges of a row block. Per output
     // element the edge accumulation order is unchanged, so the result
     // is bit-identical at any thread count.
-    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c);
+    gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
 
     // Counters model the dataflow's access profile (Table 1), which
     // software tiling does not change: each non-zero of A is one A
@@ -130,39 +141,33 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
 }
 
 void
-spmmPullRowWiseMasked(const CsrMatrix &a, const DenseMatrix &b,
-                      std::span<const uint8_t> skip_row,
-                      DenseMatrix &c, SpmmCounters *counters)
+spmmPullRows(const CsrMatrix &a, std::span<const NodeId> rows,
+             const DenseMatrix &b, std::span<const NodeId> b_row_of,
+             DenseMatrix &c, std::span<const uint8_t> skip)
 {
-    checkShapes(a, b);
-    if (skip_row.size() != a.numRows)
+    if (!b_row_of.empty() && b_row_of.size() != a.numCols)
         throw std::invalid_argument(
-            "spmmPullRowWiseMasked: mask size != rows");
-    if (c.rows() != a.numRows || c.cols() != b.cols())
+            "spmmPullRows: column map size != columns");
+    if (b_row_of.empty())
+        checkShapes(a, b);
+    if (!skip.empty() && skip.size() != rows.size())
         throw std::invalid_argument(
-            "spmmPullRowWiseMasked: output shape mismatch");
-    KernelRegion region("spmm_pull_row_wise");
-
-    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c, skip_row.data());
-
-    // Counters account only the work actually done: skipped rows
-    // pull nothing and write nothing.
-    if (counters) {
-        SpmmCounters cnt;
-        const size_t channels = b.cols();
-        uint64_t live_nnz = 0, live_rows = 0;
-        for (NodeId i = 0; i < a.numRows; ++i) {
-            if (skip_row[i])
-                continue;
-            live_rows++;
-            live_nnz += a.rowPtr[i + 1] - a.rowPtr[i];
-        }
-        cnt.aReads = live_nnz;
-        cnt.bIrregularReads = live_nnz * channels;
-        cnt.macOps = live_nnz * channels;
-        cnt.cStreamedWrites = live_rows * channels;
-        *counters += cnt;
-    }
+            "spmmPullRows: skip size != row count");
+    if (c.rows() != rows.size() || c.cols() != b.cols())
+        throw std::invalid_argument(
+            "spmmPullRows: output shape mismatch");
+    for (NodeId r : rows)
+        if (r >= a.numRows)
+            throw std::out_of_range("spmmPullRows: row exceeds rows");
+    KernelRegion region("spmm_pull_rows");
+    const uint8_t *skip_row = skip.empty() ? nullptr : skip.data();
+    if (b_row_of.empty())
+        gatherTiled<true, false>(a.rowPtr, a.colIdx, a.values, b, c,
+                                 rows.data(), nullptr, skip_row);
+    else
+        gatherTiled<true, true>(a.rowPtr, a.colIdx, a.values, b, c,
+                                rows.data(), b_row_of.data(),
+                                skip_row);
 }
 
 DenseMatrix
@@ -268,7 +273,7 @@ spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
     // per-call CSC rebuild, and the result is bit-identical to the
     // sequential column-order scatter at any thread count. The
     // counters below still model the logical push dataflow.
-    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c);
+    gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
 
     // Per column: one streamed read of the full B row (empty columns
     // included, as the hardware prefetches the broadcast row before
@@ -311,7 +316,7 @@ csrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
     const CscIndex &csc = x.csc();
     DenseMatrix c(x.numCols, b.cols());
     KernelRegion region("csr_transpose_times_dense");
-    gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
+    gatherTiled<false, false>(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
 }
 
@@ -324,7 +329,7 @@ sparseTimesDense(const CsrFeatures &x, const DenseMatrix &w,
     const size_t channels = w.cols();
     DenseMatrix c(x.numRows, channels);
     KernelRegion region("sparse_times_dense");
-    gatherTiled(x.rowPtr, x.colIdx, x.values, w, c);
+    gatherTiled<false, false>(x.rowPtr, x.colIdx, x.values, w, c);
 
     // Same pull-row-wise access profile as spmmPullRowWise: one A
     // read and one irregular full-row B pull per stored entry, one
@@ -356,7 +361,7 @@ sparseTransposeTimesDense(const CsrFeatures &x, const DenseMatrix &b)
     const CsrFeatures::CscView &csc = x.csc();
     DenseMatrix c(x.numCols, b.cols());
     KernelRegion region("sparse_transpose_times_dense");
-    gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
+    gatherTiled<false, false>(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
 }
 

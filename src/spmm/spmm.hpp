@@ -105,20 +105,30 @@ DenseMatrix spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
                             SpmmCounters *counters = nullptr);
 
 /**
- * spmmPullRowWise into a caller-provided output with a row skip
- * mask: rows i with skip_row[i] != 0 are left exactly as the caller
- * pre-filled them; every other row of c must arrive zeroed and is
- * accumulated identically to spmmPullRowWise — same edge order, same
- * channel tiling, same worker sharding — so unskipped rows are
- * bit-identical to the unmasked kernel at any IGCN_THREADS. This is
- * the serving cache's substitution point: skipped rows carry cached
- * layer-1 aggregates (serve/agg_cache.hpp). skip_row must have
- * a.numRows entries and c the product's shape.
+ * Row-subset PULL-Row-Wise: output row i accumulates row rows[i] of
+ * a, where a's column j reads row b_row_of[j] of b (row j when
+ * b_row_of is empty). Every entry of a row the kernel reads must map
+ * to a valid row of b; entries of other rows are never read, so
+ * b_row_of may hold anything there.
+ *
+ * Rows i with skip[i] != 0 (skip empty = none) are left exactly as
+ * the caller pre-filled them; every other row of c must arrive
+ * zeroed. Entries are summed in the same order, with the same
+ * channel tiling and one owner per row, as spmmPullRowWise, so an
+ * output row is bit-identical to row rows[i] of spmmPullRowWise(a,
+ * B') where B' row j = b row b_row_of[j], at any IGCN_THREADS. The
+ * serving engine pulls each GCN layer on one frontier this way, and
+ * its aggregation cache substitutes skipped rows
+ * (serve/agg_cache.hpp).
+ *
+ * @throws std::invalid_argument on a column map that is not
+ * a.numCols long, a.numCols != b.rows() without one, a skip mask
+ * that is not rows.size() long, or c not rows.size() x b.cols();
+ * std::out_of_range on a row >= a.numRows.
  */
-void spmmPullRowWiseMasked(const CsrMatrix &a, const DenseMatrix &b,
-                           std::span<const uint8_t> skip_row,
-                           DenseMatrix &c,
-                           SpmmCounters *counters = nullptr);
+void spmmPullRows(const CsrMatrix &a, std::span<const NodeId> rows,
+                  const DenseMatrix &b, std::span<const NodeId> b_row_of,
+                  DenseMatrix &c, std::span<const uint8_t> skip = {});
 
 /**
  * PULL-Inner-Product (Figure 2-b2): output elements produced one

@@ -445,146 +445,86 @@ TEST(CsrGraph, WithRemovedEdgesNegativePaths)
     EXPECT_EQ(grown.withRemovedEdges(std::vector<Edge>{{4, 0}}), g);
 }
 
-TEST(CsrGraph, ExtractLHopSubgraphLevels)
+TEST(CsrGraph, LHopFrontiersLevels)
 {
-    // Path 0-1-2-3-4-5: 2 hops from node 0 reach {0, 1, 2}.
+    // Path 0-1-2-3-4-5: from node 0, frontiers {0}, {0,1}, {0,1,2}.
     CsrGraph p = pathGraph(6);
-    std::vector<NodeId> targets{0};
-    LHopSubgraph ext = extractLHopSubgraph(p, targets, 2);
-    EXPECT_EQ(ext.nodes, (std::vector<NodeId>{0, 1, 2}));
-    EXPECT_EQ(ext.targetLocal, (std::vector<NodeId>{0}));
-    // Induced edges: 0-1, 1-2 (both arcs).
-    EXPECT_EQ(ext.sub.numEdges(), 4u);
+    const auto f = lHopFrontiers(p, std::vector<NodeId>{0}, 2);
+    ASSERT_EQ(f.size(), 3u);
+    EXPECT_EQ(f[0], (std::vector<NodeId>{0}));
+    EXPECT_EQ(f[1], (std::vector<NodeId>{0, 1}));
+    EXPECT_EQ(f[2], (std::vector<NodeId>{0, 1, 2}));
 
-    // 0 hops: the targets alone, with only target-target edges.
-    std::vector<NodeId> two{1, 2};
-    LHopSubgraph zero = extractLHopSubgraph(p, two, 0);
-    EXPECT_EQ(zero.nodes, (std::vector<NodeId>{1, 2}));
-    EXPECT_EQ(zero.sub.numEdges(), 2u);
+    // 0 hops: the deduplicated targets, ascending.
+    const auto zero = lHopFrontiers(p, std::vector<NodeId>{3, 1, 3}, 0);
+    ASSERT_EQ(zero.size(), 1u);
+    EXPECT_EQ(zero[0], (std::vector<NodeId>{1, 3}));
 
-    // Duplicate targets each get a targetLocal entry.
-    std::vector<NodeId> dup{3, 3, 1};
-    LHopSubgraph d = extractLHopSubgraph(p, dup, 1);
-    EXPECT_EQ(d.targetLocal.size(), 3u);
-    EXPECT_EQ(d.targetLocal[0], d.targetLocal[1]);
+    // No targets: every frontier is empty.
+    const auto none = lHopFrontiers(p, std::vector<NodeId>{}, 2);
+    ASSERT_EQ(none.size(), 3u);
+    EXPECT_TRUE(none[2].empty());
 
-    EXPECT_THROW(extractLHopSubgraph(p, std::vector<NodeId>{9}, 1),
+    EXPECT_THROW(lHopFrontiers(p, std::vector<NodeId>{6}, 1),
                  std::out_of_range);
+    EXPECT_THROW(lHopFrontiers(p, std::vector<NodeId>{0}, -1),
+                 std::invalid_argument);
 }
 
-/** inducedSubgraph by binary-search membership, for the differential. */
-LHopSubgraph
-bruteInducedSubgraph(const CsrGraph &g, const std::vector<NodeId> &nodes,
-                     const std::vector<NodeId> &targets)
+/** Distance of every node from the nearest target (~0u: unreached). */
+std::vector<NodeId>
+bruteDistances(const CsrGraph &g, const std::vector<NodeId> &targets)
 {
-    const auto local_of = [&nodes](NodeId v) {
-        return static_cast<NodeId>(
-            std::lower_bound(nodes.begin(), nodes.end(), v) -
-            nodes.begin());
-    };
-    std::vector<EdgeId> rp{0};
-    std::vector<NodeId> ci;
-    for (NodeId u : nodes) {
-        for (NodeId v : g.neighbors(u))
-            if (std::binary_search(nodes.begin(), nodes.end(), v))
-                ci.push_back(local_of(v));
-        rp.push_back(ci.size());
-    }
-    LHopSubgraph out;
-    out.sub = CsrGraph::fromCsrArrays(std::move(rp), std::move(ci));
+    constexpr NodeId kInf = ~NodeId{0};
+    std::vector<NodeId> dist(g.numNodes(), kInf);
     for (NodeId t : targets)
-        out.targetLocal.push_back(local_of(t));
-    out.nodes = nodes;
-    return out;
+        dist[t] = 0;
+    // Bellman-Ford-style relaxation: no queue, so it shares nothing
+    // with the BFS under test.
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (NodeId u = 0; u < g.numNodes(); ++u)
+            if (dist[u] != kInf)
+                for (NodeId v : g.neighbors(u))
+                    if (dist[u] + 1 < dist[v]) {
+                        dist[v] = dist[u] + 1;
+                        changed = true;
+                    }
+    }
+    return dist;
 }
 
-TEST(CsrGraph, InducedSubgraphMatchesBinarySearchBuilder)
+TEST(CsrGraph, LHopFrontiersMatchBruteForceDistances)
 {
+    // Per level, frontier k must be exactly the nodes at distance
+    // <= k from some target, ascending, with no duplicates.
     const CsrGraph g =
         hubAndIslandGraph({.numNodes = 600, .seed = 4}).graph;
-    const NodeId n = g.numNodes();
+    const CsrGraph er = erdosRenyi(300, 3.0, 8);
     Rng rng(12);
-    const auto expect_same = [&g](const std::vector<NodeId> &nodes,
-                                  const std::vector<NodeId> &targets) {
-        const LHopSubgraph want = bruteInducedSubgraph(g, nodes, targets);
-        const LHopSubgraph got = inducedSubgraph(g, nodes, targets);
-        EXPECT_EQ(got.sub.rows(), want.sub.rows());
-        EXPECT_EQ(got.sub.cols(), want.sub.cols());
-        EXPECT_EQ(got.nodes, want.nodes);
-        EXPECT_EQ(got.targetLocal, want.targetLocal);
-    };
-
-    for (int trial = 0; trial < 20; ++trial) {
-        // Receptive fields of random targets, duplicates included.
-        std::vector<NodeId> targets;
-        for (int i = 0; i < 1 + trial % 6; ++i)
-            targets.push_back(static_cast<NodeId>(rng.nextBounded(n)));
-        targets.push_back(targets.front());
-        for (int hops : {0, 1, 2})
-            expect_same(lHopNodeSet(g, targets, hops), targets);
-
-        // Arbitrary ascending subsets, whatever their connectivity;
-        // the targets are drawn from the subset.
-        std::vector<NodeId> subset;
-        const double keep = 0.05 + 0.045 * trial;
-        for (NodeId v = 0; v < n; ++v)
-            if (rng.nextBool(keep))
-                subset.push_back(v);
-        std::vector<NodeId> in_subset;
-        for (int i = 0; i < 5 && !subset.empty(); ++i)
-            in_subset.push_back(
-                subset[rng.nextBounded(subset.size())]);
-        if (!in_subset.empty())
-            in_subset.push_back(in_subset.back());
-        expect_same(subset, in_subset);
-    }
-    expect_same({}, {});
-
-    // A target outside the node set is refused, whether it is a valid
-    // node id or lies past the end of the graph.
-    const std::vector<NodeId> nodes{1, 5, 9};
-    EXPECT_THROW(inducedSubgraph(g, nodes, std::vector<NodeId>{4}),
-                 std::invalid_argument);
-    EXPECT_THROW(inducedSubgraph(g, nodes, std::vector<NodeId>{n}),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        inducedSubgraph(g, nodes, std::vector<NodeId>{n + 1000000}),
-        std::invalid_argument);
-    // So is a node set reaching past the end of the graph.
-    EXPECT_THROW(inducedSubgraph(g, std::vector<NodeId>{1, n},
-                                 std::vector<NodeId>{1}),
-                 std::out_of_range);
-}
-
-TEST(CsrGraph, ExtractLHopSubgraphPreservesNeighborOrder)
-{
-    // On a random graph, every subgraph row must be the global row
-    // filtered to the subgraph, in the same (ascending) order — the
-    // property that makes batched inference accumulation order match
-    // the whole-graph pass.
-    CsrGraph g = erdosRenyi(200, 8.0, 3);
-    std::vector<NodeId> targets{5, 17, 100};
-    LHopSubgraph ext = extractLHopSubgraph(g, targets, 2);
-    ASSERT_TRUE(std::is_sorted(ext.nodes.begin(), ext.nodes.end()));
-    for (size_t l = 0; l < ext.nodes.size(); ++l) {
-        std::vector<NodeId> expected;
-        for (NodeId v : g.neighbors(ext.nodes[l])) {
-            auto it = std::lower_bound(ext.nodes.begin(),
-                                       ext.nodes.end(), v);
-            if (it != ext.nodes.end() && *it == v)
-                expected.push_back(static_cast<NodeId>(
-                    it - ext.nodes.begin()));
+    for (const CsrGraph *graph : {&g, &er}) {
+        const NodeId n = graph->numNodes();
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<NodeId> targets;
+            for (int i = 0; i < 1 + trial % 6; ++i)
+                targets.push_back(
+                    static_cast<NodeId>(rng.nextBounded(n)));
+            targets.push_back(targets.front()); // duplicate
+            const int hops = trial % 4;
+            const auto got = lHopFrontiers(*graph, targets, hops);
+            const std::vector<NodeId> dist =
+                bruteDistances(*graph, targets);
+            ASSERT_EQ(got.size(), static_cast<size_t>(hops + 1));
+            for (int k = 0; k <= hops; ++k) {
+                std::vector<NodeId> want;
+                for (NodeId v = 0; v < n; ++v)
+                    if (dist[v] <= static_cast<NodeId>(k))
+                        want.push_back(v);
+                EXPECT_EQ(got[k], want)
+                    << "trial " << trial << " level " << k;
+            }
         }
-        auto got = ext.sub.neighbors(static_cast<NodeId>(l));
-        ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()),
-                  expected)
-            << "row " << l;
     }
-    // Every target's full neighborhood is present (hops >= 1).
-    for (NodeId t : targets)
-        for (NodeId v : g.neighbors(t))
-            EXPECT_TRUE(std::binary_search(ext.nodes.begin(),
-                                           ext.nodes.end(), v));
 }
 
 TEST(Permutation, Validity)

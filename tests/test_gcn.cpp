@@ -13,6 +13,7 @@
 #include "gcn/reference.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "serve/engine.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn {
@@ -226,29 +227,44 @@ TEST(Reference, SparseFirstLayerForwardBitEqualsDense)
               0);
 }
 
-TEST(Layer, SubgraphForwardSparseOverloadBitEqualsDense)
+TEST(Layer, ServedSparseFeaturesBitEqualDense)
 {
-    // The serving path's building block: the CsrFeatures overload of
-    // subgraphForward must be byte-equal to the dense overload on
-    // the densified image (and the dense overload itself is the
-    // unchanged pre-sparse operation sequence).
+    // The serving path's building block: an inference engine built
+    // from CsrFeatures must serve logits byte-equal to one built from
+    // the densified image, for every node of the graph in one batch.
     auto hi = hubAndIslandGraph({.numNodes = 250, .seed = 33});
     Rng rng(23);
     DenseMatrix x(250, 40);
     x.fillRandomSparse(rng, 0.05, 1.0f);
-    CsrFeatures xs = denseToCsrFeatures(x);
-    std::vector<float> scale = degreeScaling(hi.graph);
+    Features dense;
+    dense.dense = x;
+    Features sparse;
+    sparse.sparse = true;
+    sparse.csr = denseToCsrFeatures(x);
 
     ModelConfig mc;
     mc.layers = {{40, 10}, {10, 3}};
     auto weights = makeWeights(mc, rng);
 
-    DenseMatrix a = subgraphForward(hi.graph, scale, x, weights);
-    DenseMatrix b = subgraphForward(hi.graph, scale, xs, weights);
-    ASSERT_EQ(a.rows(), b.rows());
-    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                          a.data().size() * sizeof(float)),
-              0);
+    auto hub = std::make_shared<serve::GraphStateHub>(
+        serve::makeGraphState(hi.graph, LocatorConfig{}));
+    std::vector<serve::Request> batch(hi.graph.numNodes());
+    for (NodeId v = 0; v < hi.graph.numNodes(); ++v) {
+        batch[v].id = v;
+        batch[v].node = v;
+    }
+    const auto a =
+        serve::InferenceEngine(hub, dense, weights).runBatch(batch);
+    const auto b =
+        serve::InferenceEngine(hub, sparse, weights).runBatch(batch);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].logits.size(), b[i].logits.size());
+        EXPECT_EQ(std::memcmp(a[i].logits.data(), b[i].logits.data(),
+                              a[i].logits.size() * sizeof(float)),
+                  0)
+            << "node " << i;
+    }
 }
 
 TEST(Reference, NoLayersThrows)

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -98,6 +99,16 @@ inferenceBatch(const std::vector<NodeId> &nodes)
 
 // ------------------------------------------------------ criterion (a)
 
+/** Targets (ascending) whose 1-hop set covers >= 90% of the graph. */
+std::vector<NodeId>
+wideBatch(const CsrGraph &g)
+{
+    std::vector<NodeId> targets;
+    for (NodeId v = 0; v < g.numNodes(); v += 2)
+        targets.push_back(v);
+    return targets;
+}
+
 TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
 {
     for (int layers : {2, 3}) {
@@ -107,8 +118,7 @@ TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
 
         auto hub = std::make_shared<GraphStateHub>(
             makeGraphState(w.graph, LocatorConfig{}));
-        // wholeGraphFraction > 1: always take the subgraph path.
-        InferenceEngine engine(hub, w.features, w.weights, 1.1);
+        InferenceEngine engine(hub, w.features, w.weights);
 
         Rng rng(33);
         for (size_t batch_size : {size_t{1}, size_t{7}, size_t{33}}) {
@@ -123,19 +133,24 @@ TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
             auto results =
                 engine.runBatch(inferenceBatch(targets), &info);
             ASSERT_EQ(results.size(), targets.size());
-            EXPECT_FALSE(info.wholeGraph);
-            EXPECT_GT(info.subNodes, 0u);
+            ASSERT_EQ(info.layerRows.size(),
+                      static_cast<size_t>(layers));
+            // The last layer runs on the unique targets alone.
+            EXPECT_EQ(info.layerRows.back(), info.uniqueTargets);
+            EXPECT_GT(info.aggregatedEntries(), 0u);
             for (const InferenceResult &r : results)
                 EXPECT_TRUE(bitEqualRow(r.logits, ref, r.node))
                     << "layers " << layers << " node " << r.node;
         }
 
-        // The whole-graph fallback must produce the same bits.
-        InferenceEngine whole(hub, w.features, w.weights, 0.0);
+        // A batch whose 1-hop set covers nearly the whole graph (the
+        // size that once fell back to a whole-graph pass) must
+        // produce the same bits.
         BatchExecInfo info;
-        auto results = whole.runBatch(
-            inferenceBatch({3, 99, 701}), &info);
-        EXPECT_TRUE(info.wholeGraph);
+        auto results =
+            engine.runBatch(inferenceBatch(wideBatch(w.graph)), &info);
+        EXPECT_GE(info.layerRows[layers - 2],
+                  w.graph.numNodes() * 9 / 10);
         for (const InferenceResult &r : results)
             EXPECT_TRUE(bitEqualRow(r.logits, ref, r.node));
     }
@@ -146,9 +161,9 @@ TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
     // Pubmed-density (10%) features: the dense engine's layer-0
     // product goes through gemm's zero-skip compaction, the CSR
     // engine's through sparseTimesDense. Served logits must memcmp-
-    // equal the whole-graph reference on the subgraph path, on the
-    // whole-graph path and with the aggregation cache attached, at
-    // pool sizes 1 and 4.
+    // equal the whole-graph reference on a narrow batch and on a
+    // batch whose 1-hop set covers most of the graph, with and
+    // without the aggregation cache, at pool sizes 1 and 4.
     Workload w = makeWorkload(1000, 48, 16, 5, 2, 13);
     Rng rng(61);
     w.features.fillRandomSparse(rng, 0.1, 1.0f);
@@ -162,21 +177,20 @@ TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
 
     auto hub = std::make_shared<GraphStateHub>(
         makeGraphState(w.graph, LocatorConfig{}));
-    std::vector<NodeId> targets;
+    std::vector<NodeId> narrow;
     for (int i = 0; i < 12; ++i)
-        targets.push_back(
+        narrow.push_back(
             static_cast<NodeId>(rng.nextBounded(w.graph.numNodes())));
-    targets[5] = targets[2]; // duplicate target
+    narrow[5] = narrow[2]; // duplicate target
+    std::vector<NodeId> wide = wideBatch(w.graph);
 
     for (int threads : {1, 4}) {
         setGlobalThreads(threads);
         for (const Features *x : {&dense, &csr}) {
-            // wholeGraphFraction 1.1 forces the subgraph path, 0.0
-            // the whole-graph path.
-            for (double fraction : {1.1, 0.0}) {
+            for (const std::vector<NodeId> *targets :
+                 {&narrow, &wide}) {
                 for (bool cached : {false, true}) {
-                    InferenceEngine engine(hub, *x, w.weights,
-                                           fraction);
+                    InferenceEngine engine(hub, *x, w.weights);
                     AggCache cache({.enabled = true});
                     if (cached)
                         engine.attachAggCache(&cache);
@@ -186,15 +200,14 @@ TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
                     for (int pass = 0; pass < 2; ++pass) {
                         BatchExecInfo info;
                         auto results = engine.runBatch(
-                            inferenceBatch(targets), &info);
-                        ASSERT_EQ(results.size(), targets.size());
-                        EXPECT_EQ(info.wholeGraph, fraction == 0.0);
+                            inferenceBatch(*targets), &info);
+                        ASSERT_EQ(results.size(), targets->size());
                         hits += info.cacheHits;
                         for (const InferenceResult &r : results)
                             EXPECT_TRUE(
                                 bitEqualRow(r.logits, ref, r.node))
                                 << (x->sparse ? "csr" : "dense")
-                                << " fraction " << fraction
+                                << " targets " << targets->size()
                                 << " cached " << cached << " threads "
                                 << threads << " node " << r.node;
                     }
@@ -206,6 +219,97 @@ TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
         }
     }
     setGlobalThreads(0);
+}
+
+TEST(ServingEngine, FrontierBatchesMatchReferenceOnEveryShape)
+{
+    // The frontier engine against referenceForward, memcmp per
+    // target, over model depths 1-3; batches of 1, 7 and 33 targets
+    // with duplicates, an isolated node, the top hub, one whole
+    // island and a batch whose 1-hop set covers >= 90% of the graph;
+    // dense and CSR features; cache off and on (the second pass must
+    // hit); IGCN_THREADS 1 and 4.
+    for (int layers : {1, 2, 3}) {
+        Workload w = makeWorkload(900, 32, 12, 5, layers, 29);
+        Rng rng(83);
+        if (layers == 1) { // makeWorkload builds at least two
+            ModelConfig mc;
+            mc.layers = {{32, 5}};
+            w.weights = makeWeights(mc, rng);
+        }
+        ASSERT_EQ(w.weights.size(), static_cast<size_t>(layers));
+        // One extra node with no edges.
+        const NodeId isolated = w.graph.numNodes();
+        w.graph = CsrGraph::fromEdges(isolated + 1, w.graph.toEdges());
+        w.features = DenseMatrix(isolated + 1, 32);
+        w.features.fillRandomSparse(rng, 0.2, 1.0f);
+        Features dense = w.asFeatures();
+        Features csr;
+        csr.sparse = true;
+        csr.csr = denseToCsrFeatures(w.features);
+        const DenseMatrix ref =
+            referenceForward(w.graph, dense, w.weights);
+
+        auto state = makeGraphState(w.graph, LocatorConfig{});
+        NodeId hub_node = 0;
+        for (NodeId v = 0; v < w.graph.numNodes(); ++v)
+            if (w.graph.degree(v) > w.graph.degree(hub_node))
+                hub_node = v;
+        ASSERT_FALSE(state->islands.islands.empty());
+        std::vector<std::vector<NodeId>> batches;
+        for (size_t size : {size_t{1}, size_t{7}, size_t{33}}) {
+            std::vector<NodeId> t;
+            for (size_t i = 0; i < size; ++i)
+                t.push_back(static_cast<NodeId>(
+                    rng.nextBounded(w.graph.numNodes())));
+            t.push_back(t.front()); // duplicate target
+            batches.push_back(std::move(t));
+        }
+        batches.push_back({isolated});
+        batches.push_back({hub_node, hub_node});
+        batches.push_back(state->islands.islands.front().nodes);
+        batches.push_back(wideBatch(w.graph));
+        ASSERT_GE(lHopFrontiers(w.graph, batches.back(), 1)[1].size(),
+                  w.graph.numNodes() * 9 / 10);
+        auto hub = std::make_shared<GraphStateHub>(state);
+
+        for (int threads : {1, 4}) {
+            setGlobalThreads(threads);
+            for (const Features *x : {&dense, &csr}) {
+                for (bool cached : {false, true}) {
+                    InferenceEngine engine(hub, *x, w.weights);
+                    AggCache cache({.enabled = true});
+                    if (cached)
+                        engine.attachAggCache(&cache);
+                    uint64_t second_pass_hits = 0;
+                    for (int pass = 0; pass < 2; ++pass) {
+                        for (const auto &targets : batches) {
+                            BatchExecInfo info;
+                            auto results = engine.runBatch(
+                                inferenceBatch(targets), &info);
+                            ASSERT_EQ(results.size(), targets.size());
+                            if (pass == 1)
+                                second_pass_hits += info.cacheHits;
+                            for (const InferenceResult &r : results)
+                                ASSERT_TRUE(
+                                    bitEqualRow(r.logits, ref, r.node))
+                                    << "layers " << layers << " "
+                                    << (x->sparse ? "csr" : "dense")
+                                    << " cached " << cached
+                                    << " threads " << threads
+                                    << " batch of " << targets.size()
+                                    << " node " << r.node;
+                        }
+                    }
+                    if (cached) {
+                        EXPECT_GT(second_pass_hits, 0u)
+                            << "layers " << layers;
+                    }
+                }
+            }
+        }
+        setGlobalThreads(0);
+    }
 }
 
 TEST(ServingEngine, WeightShapeMismatchThrowsAtConstruction)
@@ -423,31 +527,18 @@ addReport(Fnv1a &f, const ReplayReport &rep)
             f.add(v);
 }
 
-TEST(ServingReplay, DefaultConfigMatchesGoldenFingerprint)
+/**
+ * One fingerprint per (gap, rate) row of the golden grid: gaps of 5
+ * and 1us, update rates of 10/20/50 per 100 reads; each row covers
+ * six replays (batch caps 1/4/32 x strict shares 0 and 0.5).
+ */
+std::array<std::array<uint64_t, 3>, 2>
+goldenGridFingerprints(const ServiceModel &service)
 {
-    // The default ServerConfig's full served stream — per-request
-    // epoch, logit bytes, start/done and batch size, and every update
-    // application's epoch, coalesced count and start/done — over a
-    // loaded grid where updates race reads: gaps of 5 and 1us, update
-    // rates of 10/20/50 per 100 reads, batch caps 1/4/32, strict
-    // shares 0 and 0.5. Recorded from the first-come-first-served
-    // scheduler the single scheduler replaced: an update is a hard
-    // sequence point, so a read admitted after an update never runs
-    // before it, and an update admitted after a waiting read never
-    // applies before that read is served. One fingerprint per
-    // (gap, rate) row, covering its six (cap, strict share) replays.
-    // Served results are thread-count-invariant (pinned above); one
-    // thread spares these tiny batches the pool's wake-ups.
-    setGlobalThreads(1);
     Workload w = makeWorkload(400, 16, 12, 6, 2, 9);
     const double kGaps[] = {5.0, 1.0};
     const double kRates[] = {0.1, 0.2, 0.5};
-    const uint64_t kGolden[2][3] = {
-        {0xd553c7e6b1f74ce6ull, 0x423f624d7b4a3107ull,
-         0xbe78955c8778f2d7ull},
-        {0xd69b007d367e358eull, 0x1eb896a7621fc265ull,
-         0x77d6650921b36f3full},
-    };
+    std::array<std::array<uint64_t, 3>, 2> out{};
     for (size_t g = 0; g < 2; ++g) {
         for (size_t u = 0; u < 3; ++u) {
             Fnv1a f;
@@ -463,19 +554,75 @@ TEST(ServingReplay, DefaultConfigMatchesGoldenFingerprint)
                     tc.seed = 11;
                     ServerConfig sc;
                     sc.scheduler.maxBatch = cap;
+                    sc.service = service;
                     Server server(w.graph, w.features, w.weights, sc);
                     addReport(f, server.runTrace(
                                      makeSyntheticTrace(w.graph, tc)));
                 }
             }
-            char hex[19];
-            std::snprintf(hex, sizeof hex, "%#018llx",
-                          static_cast<unsigned long long>(f.value()));
-            EXPECT_EQ(f.value(), kGolden[g][u])
-                << "gap " << kGaps[g] << "us, rate " << kRates[u]
-                << ": got " << hex;
+            out[g][u] = f.value();
         }
     }
+    return out;
+}
+
+void
+expectGolden(const std::array<std::array<uint64_t, 3>, 2> &got,
+             const uint64_t (&want)[2][3])
+{
+    for (size_t g = 0; g < 2; ++g)
+        for (size_t u = 0; u < 3; ++u) {
+            char hex[19];
+            std::snprintf(hex, sizeof hex, "%#018llx",
+                          static_cast<unsigned long long>(got[g][u]));
+            EXPECT_EQ(got[g][u], want[g][u])
+                << "grid row (" << g << ", " << u << "): got " << hex;
+        }
+}
+
+TEST(ServingReplay, DefaultConfigMatchesGoldenFingerprint)
+{
+    // The default ServerConfig's full served stream — per-request
+    // epoch, logit bytes, start/done and batch size, and every update
+    // application's epoch, coalesced count and start/done — over a
+    // loaded grid where updates race reads (goldenGridFingerprints).
+    // An update is a hard sequence point: a read admitted after an
+    // update never runs before it, and an update admitted after a
+    // waiting read never applies before that read is served. The
+    // virtual service cost charges the rows and A_hat entries each
+    // layer aggregated, so these values move whenever the engine's
+    // work accounting does; the zero-coefficient table below does
+    // not. Served results are thread-count-invariant (pinned above);
+    // one thread spares these tiny batches the pool's wake-ups.
+    setGlobalThreads(1);
+    const uint64_t kGolden[2][3] = {
+        {0x83a308f7420410eeull, 0xe1a14b98733ee126ull,
+         0xb84a34fd823dc5feull},
+        {0xdb304436543bc75eull, 0x5d7fd4c38bad89d7ull,
+         0xc7a274f6e7797556ull},
+    };
+    expectGolden(goldenGridFingerprints(ServiceModel{}), kGolden);
+    setGlobalThreads(0);
+}
+
+TEST(ServingReplay, WorkFreeServiceModelMatchesGoldenFingerprint)
+{
+    // The same grid with the work-dependent service coefficients at
+    // zero: virtual timing then depends only on batch sizes and
+    // update effort, not on how the engine counts its aggregation
+    // work. This table pins logits, epochs, batching and update order
+    // across any rewrite of the inference engine's internals.
+    setGlobalThreads(1);
+    ServiceModel service;
+    service.perSubNodeUs = 0.0;
+    service.perSubEdgeUs = 0.0;
+    const uint64_t kGolden[2][3] = {
+        {0xee8c66d0f067568cull, 0xf16976fbc2bc435dull,
+         0xdc9a4bf69f35a9eaull},
+        {0x769ae6fbf37f181eull, 0xb56294dcf7e2ec80ull,
+         0xb53744ad142619ebull},
+    };
+    expectGolden(goldenGridFingerprints(service), kGolden);
     setGlobalThreads(0);
 }
 
@@ -677,7 +824,7 @@ TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)
             return f;
         }(),
         w.weights);
-    InferenceEngine engine(hub, w.features, w.weights, 1.1);
+    InferenceEngine engine(hub, w.features, w.weights);
     auto results = engine.runBatch(inferenceBatch({1, 44, 321}));
     for (const InferenceResult &r : results) {
         EXPECT_EQ(r.epoch, state->epoch);
@@ -697,7 +844,7 @@ TEST(ServingReplay, MixedAddRemoveEpochsStayBitIdenticalToReference)
     Workload w = makeWorkload(600, 16, 12, 6, 2, 37);
     auto hub = std::make_shared<GraphStateHub>(
         makeGraphState(w.graph, LocatorConfig{}));
-    InferenceEngine engine(hub, w.features, w.weights, 1.1);
+    InferenceEngine engine(hub, w.features, w.weights);
     UpdateApplier applier(hub);
 
     Rng rng(53);
@@ -1208,7 +1355,7 @@ TEST(ServingStats, HistogramPercentilesWithinOneBucketOfExact)
     // 100 requests with latencies 1..100 us, in two batches.
     BatchExecInfo info;
     info.targets = 50;
-    info.subNodes = 10;
+    info.layerRows = {10, 5};
     for (int b = 0; b < 2; ++b) {
         stats.recordInferenceBatch(info);
         for (int i = 0; i < 50; ++i) {
