@@ -4,7 +4,8 @@
  * SpMM dataflows, islandization, window op counting, the Island
  * Consumer's plan compile and replay, and the island-based
  * aggregation itself (compile plus one replay) — plus the
- * serving engine's frontier BFS and one whole micro-batch.
+ * serving engine's frontier BFS, one whole micro-batch and one
+ * update epoch.
  *
  * The rewritten gather kernels (push outer-product, transpose) sweep
  * the thread count as a second benchmark argument — the per-kernel
@@ -31,6 +32,7 @@
 #include "runtime/thread_pool.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
+#include "serve/update.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn {
@@ -375,6 +377,43 @@ BM_ServeBatch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ServeBatch)->Unit(benchmark::kMicrosecond);
+
+void
+BM_UpdateApply(benchmark::State &state)
+{
+    // One UpdateApplier::apply per iteration on the Pubmed surrogate:
+    // a one-edge epoch that adds an absent edge, then (next
+    // iteration) removes it again, so every apply publishes and the
+    // graph never drifts. Covers the whole epoch build: graph edit,
+    // incremental islandization, scaling and A_hat.
+    const ServeBench &b = serveBench();
+    auto hub = std::make_shared<serve::GraphStateHub>(
+        serve::makeGraphState(b.data.graph, LocatorConfig{}));
+    serve::UpdateApplier applier(hub);
+    Rng rng(11);
+    const NodeId n = b.data.graph.numNodes();
+    std::vector<Edge> absent;
+    while (absent.size() < 64) {
+        const auto u = static_cast<NodeId>(rng.nextBounded(n));
+        const auto v = static_cast<NodeId>(rng.nextBounded(n));
+        if (u != v && !b.data.graph.hasEdge(u, v))
+            absent.emplace_back(u, v);
+    }
+    serve::Request req;
+    req.kind = serve::RequestKind::Update;
+    size_t i = 0;
+    for (auto _ : state) {
+        const Edge e = absent[(i / 2) % absent.size()];
+        req.addedEdges.clear();
+        req.removedEdges.clear();
+        (i % 2 == 0 ? req.addedEdges : req.removedEdges).push_back(e);
+        const serve::UpdateResult res = applier.apply({&req, 1});
+        benchmark::DoNotOptimize(res.epoch);
+        ++i;
+    }
+    state.counters["epochs"] = static_cast<double>(hub->currentEpoch());
+}
+BENCHMARK(BM_UpdateApply)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace igcn

@@ -38,6 +38,48 @@ CsrGraph::fromEdges(NodeId num_nodes, const std::vector<Edge> &edges,
     return g;
 }
 
+namespace {
+
+/** Throws unless cols is strictly ascending with every id < n. */
+void
+checkRowColumns(std::span<const NodeId> cols, NodeId n,
+                const char *who)
+{
+    for (size_t i = 0; i < cols.size(); ++i) {
+        if (cols[i] >= n)
+            throw std::invalid_argument(std::string(who) +
+                                        ": column id out of range");
+        if (i > 0 && cols[i] <= cols[i - 1])
+            throw std::invalid_argument(
+                std::string(who) +
+                ": row columns not strictly ascending");
+    }
+}
+
+/** Both arcs of every edge (one for a self loop, dropped when
+ *  keep_self_loops is false), range-checked, sorted, deduplicated. */
+std::vector<Edge>
+sortedArcs(std::span<const Edge> edges, NodeId n, bool keep_self_loops)
+{
+    std::vector<Edge> arcs;
+    arcs.reserve(edges.size() * 2);
+    for (const auto &[u, v] : edges) {
+        if (u >= n || v >= n)
+            throw std::out_of_range(
+                "withEditedEdges: endpoint exceeds num_nodes");
+        if (u == v && !keep_self_loops)
+            continue;
+        arcs.emplace_back(u, v);
+        if (u != v)
+            arcs.emplace_back(v, u);
+    }
+    std::sort(arcs.begin(), arcs.end());
+    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+    return arcs;
+}
+
+} // namespace
+
 CsrGraph
 CsrGraph::fromCsrArrays(std::vector<EdgeId> row_ptr,
                         std::vector<NodeId> col_idx)
@@ -52,15 +94,9 @@ CsrGraph::fromCsrArrays(std::vector<EdgeId> row_ptr,
         if (row_ptr[u] > row_ptr[u + 1])
             throw std::invalid_argument(
                 "fromCsrArrays: row pointer not monotone");
-        for (EdgeId e = row_ptr[u]; e < row_ptr[u + 1]; ++e) {
-            if (col_idx[e] >= n)
-                throw std::invalid_argument(
-                    "fromCsrArrays: column id out of range");
-            if (e > row_ptr[u] && col_idx[e] <= col_idx[e - 1])
-                throw std::invalid_argument(
-                    "fromCsrArrays: row columns not strictly "
-                    "ascending");
-        }
+        checkRowColumns({col_idx.data() + row_ptr[u],
+                         col_idx.data() + row_ptr[u + 1]},
+                        n, "fromCsrArrays");
     }
     CsrGraph g;
     g.rowPtr = std::move(row_ptr);
@@ -71,94 +107,13 @@ CsrGraph::fromCsrArrays(std::vector<EdgeId> row_ptr,
 CsrGraph
 CsrGraph::withAddedEdges(std::span<const Edge> added) const
 {
-    const NodeId n = numNodes();
-    std::vector<Edge> arcs;
-    arcs.reserve(added.size() * 2);
-    for (const auto &[u, v] : added) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withAddedEdges: endpoint exceeds num_nodes");
-        if (u == v)
-            continue;
-        arcs.emplace_back(u, v);
-        arcs.emplace_back(v, u);
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
-    std::vector<NodeId> ci;
-    ci.reserve(colIdx.size() + arcs.size());
-    size_t ai = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        EdgeId e = rowPtr[u];
-        const EdgeId e1 = rowPtr[u + 1];
-        while (e < e1 || (ai < arcs.size() && arcs[ai].first == u)) {
-            const bool have_added =
-                ai < arcs.size() && arcs[ai].first == u;
-            if (!have_added) {
-                ci.push_back(colIdx[e++]);
-            } else if (e >= e1 || arcs[ai].second < colIdx[e]) {
-                ci.push_back(arcs[ai++].second);
-            } else if (arcs[ai].second == colIdx[e]) {
-                ai++; // arc already present; existing entry wins
-            } else {
-                ci.push_back(colIdx[e++]);
-            }
-        }
-        rp[u + 1] = ci.size();
-    }
-    return fromCsrArrays(std::move(rp), std::move(ci));
+    return withEditedEdges(added, {});
 }
 
 CsrGraph
 CsrGraph::withRemovedEdges(std::span<const Edge> removed) const
 {
-    const NodeId n = numNodes();
-    std::vector<Edge> arcs;
-    arcs.reserve(removed.size() * 2);
-    for (const auto &[u, v] : removed) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withRemovedEdges: endpoint exceeds num_nodes");
-        arcs.emplace_back(u, v);
-        if (u != v)
-            arcs.emplace_back(v, u);
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    auto missing = [](const Edge &arc) {
-        throw std::invalid_argument(
-            "withRemovedEdges: edge (" +
-            std::to_string(arc.first) + ", " +
-            std::to_string(arc.second) + ") not present");
-    };
-
-    std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
-    std::vector<NodeId> ci;
-    ci.reserve(colIdx.size() >= arcs.size()
-                   ? colIdx.size() - arcs.size()
-                   : 0);
-    size_t ai = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        for (EdgeId e = rowPtr[u]; e < rowPtr[u + 1]; ++e) {
-            // Arcs sorted before this row entry matched nothing.
-            while (ai < arcs.size() && arcs[ai].first == u &&
-                   arcs[ai].second < colIdx[e])
-                missing(arcs[ai]);
-            if (ai < arcs.size() && arcs[ai].first == u &&
-                arcs[ai].second == colIdx[e]) {
-                ai++; // drop this arc
-                continue;
-            }
-            ci.push_back(colIdx[e]);
-        }
-        while (ai < arcs.size() && arcs[ai].first == u)
-            missing(arcs[ai]);
-        rp[u + 1] = ci.size();
-    }
-    return fromCsrArrays(std::move(rp), std::move(ci));
+    return withEditedEdges({}, removed);
 }
 
 CsrGraph
@@ -166,33 +121,10 @@ CsrGraph::withEditedEdges(std::span<const Edge> fresh,
                           std::span<const Edge> stale) const
 {
     const NodeId n = numNodes();
-
-    std::vector<Edge> adds;
-    adds.reserve(fresh.size() * 2);
-    for (const auto &[u, v] : fresh) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withEditedEdges: endpoint exceeds num_nodes");
-        if (u == v)
-            continue;
-        adds.emplace_back(u, v);
-        adds.emplace_back(v, u);
-    }
-    std::sort(adds.begin(), adds.end());
-    adds.erase(std::unique(adds.begin(), adds.end()), adds.end());
-
-    std::vector<Edge> rems;
-    rems.reserve(stale.size() * 2);
-    for (const auto &[u, v] : stale) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withEditedEdges: endpoint exceeds num_nodes");
-        rems.emplace_back(u, v);
-        if (u != v)
-            rems.emplace_back(v, u);
-    }
-    std::sort(rems.begin(), rems.end());
-    rems.erase(std::unique(rems.begin(), rems.end()), rems.end());
+    const std::vector<Edge> adds =
+        sortedArcs(fresh, n, /*keep_self_loops=*/false);
+    const std::vector<Edge> rems =
+        sortedArcs(stale, n, /*keep_self_loops=*/true);
 
     // Both-spans is an ambiguous edit, not a sequencing question:
     // reject it up front instead of picking an order silently. (The
@@ -219,22 +151,34 @@ CsrGraph::withEditedEdges(std::span<const Edge> fresh,
             ", " + std::to_string(arc.second) + ") not present");
     };
 
-    // One three-way sweep per row: existing ∪ adds, minus rems, with
-    // the removal strictness of withRemovedEdges (rems must match
-    // existing entries; adds cannot satisfy a removal — the
-    // intersection check above already rejected that shape).
-    std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
-    std::vector<NodeId> ci;
-    ci.reserve(colIdx.size() + adds.size());
+    // The touched rows: every source of an edit arc, ascending.
+    CsrRowPatch patch;
+    for (const auto &arcs : {&adds, &rems})
+        for (const Edge &arc : *arcs)
+            patch.rows.push_back(arc.first);
+    std::sort(patch.rows.begin(), patch.rows.end());
+    patch.rows.erase(std::unique(patch.rows.begin(), patch.rows.end()),
+                     patch.rows.end());
+    size_t bound = adds.size();
+    for (NodeId u : patch.rows)
+        bound += degree(u);
+    patch.idx.resize(bound);
+    patch.ptr.reserve(patch.rows.size() + 1);
+
+    // One three-way sweep per touched row: existing ∪ adds, minus
+    // rems. Removals must match existing entries; adds cannot satisfy
+    // a removal (the intersection check above rejected that shape).
+    NodeId *out = patch.idx.data();
     size_t ai = 0, ri = 0;
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u : patch.rows) {
+        NodeId *row = out;
         EdgeId e = rowPtr[u];
         const EdgeId e1 = rowPtr[u + 1];
         while (e < e1 || (ai < adds.size() && adds[ai].first == u)) {
             const bool have_add =
                 ai < adds.size() && adds[ai].first == u;
             if (have_add && (e >= e1 || adds[ai].second < colIdx[e])) {
-                ci.push_back(adds[ai++].second);
+                *out++ = adds[ai++].second;
                 continue;
             }
             const NodeId c = colIdx[e];
@@ -250,14 +194,21 @@ CsrGraph::withEditedEdges(std::span<const Edge> fresh,
                 e++;
                 continue;
             }
-            ci.push_back(c);
+            *out++ = c;
             e++;
         }
         while (ri < rems.size() && rems[ri].first == u)
             missing(rems[ri]);
-        rp[u + 1] = ci.size();
+        // Only the merged rows need checking: every other row is
+        // copied from this graph, which already holds the invariants.
+        checkRowColumns({row, out}, n, "withEditedEdges");
+        patch.ptr.push_back(static_cast<EdgeId>(out - patch.idx.data()));
     }
-    return fromCsrArrays(std::move(rp), std::move(ci));
+    patch.idx.resize(patch.ptr.back());
+
+    CsrGraph g;
+    spliceCsrRows(rowPtr, colIdx, patch, g.rowPtr, g.colIdx);
+    return g;
 }
 
 bool
@@ -349,6 +300,71 @@ transposeCsrIndex(NodeId num_cols, const std::vector<EdgeId> &row_ptr,
                 (*out_val)[slot] = (*values)[e];
         }
     }
+}
+
+void
+spliceCsrRows(const std::vector<EdgeId> &row_ptr,
+              const std::vector<NodeId> &col_idx,
+              const CsrRowPatch &patch, std::vector<EdgeId> &out_ptr,
+              std::vector<NodeId> &out_idx,
+              const std::vector<float> *values,
+              std::vector<float> *out_val)
+{
+    const bool carry = values != nullptr && out_val != nullptr;
+    const NodeId rows = row_ptr.empty()
+        ? 0
+        : static_cast<NodeId>(row_ptr.size() - 1);
+    if (patch.ptr.size() != patch.rows.size() + 1 ||
+        patch.ptr.front() != 0 || patch.ptr.back() != patch.idx.size() ||
+        (carry && patch.val.size() != patch.idx.size()))
+        throw std::invalid_argument(
+            "spliceCsrRows: patch pointers do not frame its rows");
+    EdgeId replaced = 0;
+    for (size_t i = 0; i < patch.rows.size(); ++i) {
+        const NodeId r = patch.rows[i];
+        if (r >= rows || (i > 0 && r <= patch.rows[i - 1]))
+            throw std::invalid_argument(
+                "spliceCsrRows: patch rows not strictly ascending "
+                "row ids");
+        replaced += row_ptr[r + 1] - row_ptr[r];
+    }
+    const EdgeId nnz = col_idx.size() - replaced + patch.idx.size();
+
+    out_ptr.resize(static_cast<size_t>(rows) + 1);
+    out_ptr[0] = 0;
+    out_idx.clear();
+    out_idx.reserve(nnz);
+    if (carry) {
+        out_val->clear();
+        out_val->reserve(nnz);
+    }
+    NodeId next = 0; // first row not yet emitted
+    const auto copy_rows = [&](NodeId end) {
+        if (next == end)
+            return; // also covers an empty (moved-from) row_ptr
+        const EdgeId src = row_ptr[next];
+        const EdgeId dst = out_idx.size();
+        out_idx.insert(out_idx.end(), col_idx.data() + src,
+                       col_idx.data() + row_ptr[end]);
+        if (carry)
+            out_val->insert(out_val->end(), values->data() + src,
+                            values->data() + row_ptr[end]);
+        for (NodeId r = next; r < end; ++r)
+            out_ptr[r + 1] = row_ptr[r + 1] - src + dst;
+    };
+    for (size_t i = 0; i < patch.rows.size(); ++i) {
+        const NodeId r = patch.rows[i];
+        copy_rows(r);
+        out_idx.insert(out_idx.end(), patch.idx.data() + patch.ptr[i],
+                       patch.idx.data() + patch.ptr[i + 1]);
+        if (carry)
+            out_val->insert(out_val->end(),
+                            patch.val.data() + patch.ptr[i],
+                            patch.val.data() + patch.ptr[i + 1]);
+        out_ptr[r + 1] = out_idx.size();
+        next = r + 1;
+    }
+    copy_rows(rows);
 }
 
 const CsrGraph::InEdgeIndex &

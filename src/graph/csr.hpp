@@ -136,6 +136,41 @@ void transposeCsrIndex(NodeId num_cols,
                        std::vector<float> *out_val = nullptr);
 
 /**
+ * Replacement contents for some rows of a CSR index: row rows[i]
+ * becomes idx[ptr[i] .. ptr[i + 1]), with val alongside when the
+ * index carries a payload. rows is strictly ascending.
+ */
+struct CsrRowPatch
+{
+    std::vector<NodeId> rows;
+    std::vector<EdgeId> ptr{0};
+    std::vector<NodeId> idx;
+    std::vector<float> val;
+};
+
+/**
+ * A CSR index (row_ptr, col_idx) with the rows of `patch` replaced:
+ * fills out_ptr and out_idx (and *out_val from *values and
+ * patch.val, when both value pointers are supplied). Every run of
+ * untouched rows is one bulk copy, its row pointers shifted by the
+ * running size change, so the cost is O(numRows) pointer writes
+ * plus copies — no per-entry work. The output arrays are allocated
+ * once at their final size; the output must not alias the input.
+ * This is the one splice loop behind the touched-row epoch builds
+ * (CsrGraph::withEditedEdges, patchNormalizedAdjacency).
+ *
+ * @throws std::invalid_argument when patch.rows is not strictly
+ * ascending and below the row count, or patch.ptr does not frame it.
+ */
+void spliceCsrRows(const std::vector<EdgeId> &row_ptr,
+                   const std::vector<NodeId> &col_idx,
+                   const CsrRowPatch &patch,
+                   std::vector<EdgeId> &out_ptr,
+                   std::vector<NodeId> &out_idx,
+                   const std::vector<float> *values = nullptr,
+                   std::vector<float> *out_val = nullptr);
+
+/**
  * Immutable CSR graph. Neighbor lists are sorted by destination id
  * and contain no duplicates; self loops are allowed only when
  * explicitly requested by the builder.
@@ -160,62 +195,45 @@ class CsrGraph
 
     /**
      * Adopt prebuilt CSR arrays directly (the O(E) path for callers
-     * that already produce sorted, deduplicated adjacency, such as
-     * merge-based edge insertion). Invariants are
-     * validated in O(E): row_ptr starts at 0, is monotone, and ends
-     * at col_idx.size(); every row's columns are strictly ascending
-     * and < numNodes.
+     * that already produce sorted, deduplicated adjacency). Invariants
+     * are validated in O(E): row_ptr starts at 0, is monotone, and
+     * ends at col_idx.size(); every row's columns are strictly
+     * ascending and < numNodes.
      *
      * @throws std::invalid_argument on any violation.
      */
     [[nodiscard]] static CsrGraph fromCsrArrays(std::vector<EdgeId> row_ptr,
                                   std::vector<NodeId> col_idx);
 
-    /**
-     * Copy of this graph with undirected edges added (both arcs).
-     * Duplicates within `added` and edges already present are
-     * absorbed; self loops are dropped; endpoints must be in range.
-     * A per-row merge of the existing sorted adjacency with the
-     * sorted new arcs — O(E + k log k) for k added edges, no
-     * edge-list rebuild — the steady-state mutation path of the
-     * online serving subsystem.
-     */
+    /** withEditedEdges(added, {}): undirected edges added. */
     [[nodiscard]] CsrGraph withAddedEdges(std::span<const Edge> added) const;
 
-    /**
-     * Copy of this graph with undirected edges removed (both arcs; a
-     * self loop (v, v) is the single arc). The merge-based mirror of
-     * withAddedEdges — a per-row sweep of the sorted adjacency
-     * dropping the sorted removal arcs, O(E + k log k) for k removed
-     * edges — the steady-state deletion path of the online serving
-     * subsystem. Duplicate edges (and both orientations of one edge)
-     * within `removed` collapse to a single removal, the same
-     * set-semantics withAddedEdges gives duplicates. Every requested
-     * edge must actually be present: a nonexistent edge throws
-     * std::invalid_argument naming the edge (the serving layer
-     * screens its spans against hasEdge first; the graph API itself
-     * is strict so silent divergence between a caller's view and the
-     * graph cannot pass unnoticed). Endpoints out of range throw
-     * std::out_of_range.
-     */
+    /** withEditedEdges({}, removed): undirected edges removed. */
     [[nodiscard]] CsrGraph withRemovedEdges(std::span<const Edge> removed) const;
 
     /**
-     * Copy of this graph with `fresh` edges added and `stale` edges
-     * removed in ONE per-row merge sweep — the mixed-span epoch-build
-     * path of the online serving subsystem, which previously paid for
-     * withAddedEdges followed by withRemovedEdges (two full CSR
-     * rebuilds). Exactly equivalent to that two-pass composition for
-     * disjoint spans, with the same strict contracts: fresh edges
-     * follow withAddedEdges semantics (both arcs, duplicates and
-     * already-present absorbed, self loops dropped), stale edges
-     * follow withRemovedEdges semantics (every requested edge must be
-     * present or std::invalid_argument names it). An edge appearing
-     * in both spans (either orientation) is an ambiguous edit and
-     * throws std::invalid_argument — the UpdateApplier's last-write-
-     * wins coalescing guarantees disjoint presence-changing spans
-     * before calling in. Endpoints out of range throw
-     * std::out_of_range. O(E + k log k) for k edited edges.
+     * Copy of this graph with `fresh` undirected edges added and
+     * `stale` ones removed (both arcs; a self loop (v, v) is the
+     * single arc) — the epoch-build path of the online serving
+     * subsystem.
+     *
+     * Additions absorb duplicates within the span and edges already
+     * present, and drop self loops. Removals collapse duplicates and
+     * both orientations of one edge into one removal, but every
+     * requested edge must be present: a missing one throws
+     * std::invalid_argument naming it (the serving layer screens its
+     * spans against hasEdge first; the graph API is strict so a
+     * divergence between a caller's view and the graph cannot pass
+     * unnoticed). An edge in both spans (either orientation) is an
+     * ambiguous edit and throws std::invalid_argument; the
+     * UpdateApplier's last-write-wins coalescing never produces one.
+     * Endpoints out of range throw std::out_of_range.
+     *
+     * Only the endpoint rows are merged (current row x sorted
+     * additions x sorted removals) and validated; every other row
+     * comes from this already-valid graph by bulk copy
+     * (spliceCsrRows). O(N + k log k + touched) for k edited edges,
+     * plus one memcpy of the untouched adjacency.
      */
     [[nodiscard]] CsrGraph withEditedEdges(std::span<const Edge> fresh,
                              std::span<const Edge> stale) const;

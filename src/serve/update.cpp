@@ -34,8 +34,8 @@ UpdateApplier::apply(std::span<const Request> batch)
     // the serving boundary is lenient so a malformed trace event
     // cannot take the server down — and the net effect is then
     // screened against the current epoch, so the strict graph API
-    // below (withAddedEdges / withRemovedEdges) always receives
-    // exactly the edges that change presence.
+    // below (withEditedEdges) always receives exactly the edges that
+    // change presence.
     std::map<Edge, bool> want; // normalized edge -> present after span
     size_t proposed = 0;
     size_t invalid = 0;
@@ -101,13 +101,20 @@ UpdateApplier::apply(std::span<const Request> batch)
     next->hasParent = true;
     next->parentEpoch = cur->epoch;
     next->aggProvenance = std::move(prov.parentOf);
-    next->scale = degreeScaling(next->graph);
-    // Copying drops the CSC cache by construction; the refresh
-    // mutates the arrays in place and re-asserts the invalidation,
-    // so a cached adjunct can never leak across epochs.
-    next->normAdj = cur->normAdj;
-    refreshNormalizedAdjacency(next->normAdj, next->graph,
-                               next->scale);
+    // Touched-row build: only the endpoints' degrees change, so the
+    // scaling is patched there, and A_hat recomputes the endpoint
+    // rows and their neighbours' rows, copying the rest from the
+    // current epoch. Both are byte-equal to a from-scratch build.
+    std::vector<NodeId> endpoints;
+    for (const auto &span : {&fresh, &stale})
+        for (const auto &[u, v] : *span) {
+            endpoints.push_back(u);
+            endpoints.push_back(v);
+        }
+    next->scale = cur->scale;
+    patchDegreeScaling(next->scale, next->graph, endpoints);
+    next->normAdj = patchNormalizedAdjacency(cur->normAdj, next->graph,
+                                             next->scale, endpoints);
     res.epoch = next->epoch;
     hub->publish(std::move(next));
     return res;

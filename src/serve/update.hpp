@@ -6,16 +6,17 @@
  * mixed edge additions and deletions, folds it into one
  * last-write-wins net effect per undirected edge (the mixed-span
  * coalescing rule: requests in arrival order, additions before
- * removals within a request), and builds the next epoch privately —
- * merge-based edge insertion/deletion (CsrGraph::withAddedEdges /
- * withRemovedEdges), *incremental* islandization repair
- * (updateIslandization with both spans: the paper's evolving-graph
- * machinery, dissolve-on-remove included), fresh degree scaling, and
- * an in-place A_hat refresh that drops the matrix's cached CSC
- * adjunct (refreshNormalizedAdjacency) — and publishes it through
- * the GraphStateHub. In-flight inference batches keep their
- * pre-update snapshots; batches formed after the publish see the new
- * epoch. Updates whose net effect is empty (duplicate or
+ * removals within a request), and builds the next epoch privately
+ * from the current one, recomputing only what the edit touches —
+ * the endpoint rows of the graph (CsrGraph::withEditedEdges),
+ * *incremental* islandization repair (updateIslandization with both
+ * spans: the paper's evolving-graph machinery, dissolve-on-remove
+ * included), the endpoints' degree scaling (patchDegreeScaling), and
+ * the endpoint and neighbour rows of A_hat
+ * (patchNormalizedAdjacency); every other row is copied — and
+ * publishes it through the GraphStateHub. In-flight inference
+ * batches keep their pre-update snapshots; batches formed after the
+ * publish see the new epoch. Updates whose net effect is empty (duplicate or
  * already-present additions, already-absent removals, add/remove
  * pairs cancelling inside the span, self loops, out-of-range
  * endpoints) publish no epoch.

@@ -46,6 +46,7 @@ TEST(CsrGraph, DefaultAndMovedFromGraphsReportZeroNodes)
     EXPECT_EQ(donor.numEdges(), 0u);
     EXPECT_EQ(donor.maxDegree(), 0u);
     EXPECT_TRUE(degreeHistogram(donor).size() == 1u);
+    EXPECT_EQ(donor.withEditedEdges({}, {}).numNodes(), 0u);
     auto [comp, n] = connectedComponents(donor);
     EXPECT_EQ(n, 0u);
     EXPECT_TRUE(comp.empty());

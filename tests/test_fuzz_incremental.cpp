@@ -3,7 +3,7 @@
  * Differential fuzz harness for the incremental islandization path.
  *
  * Seeded randomized add/remove edge streams over the four graph
- * families, replayed through `withAddedEdges` / `withRemovedEdges` +
+ * families, replayed through `withEditedEdges` +
  * `updateIslandization` against three independent oracles:
  *
  *  1. **Structural validity** after every batch: every node
@@ -29,6 +29,11 @@
  *     quality (the partitions may legitimately differ in discovery
  *     order; the structure the consumer exploits may not degrade).
  *
+ * The touched-row epoch build (patchDegreeScaling,
+ * patchNormalizedAdjacency and the UpdateApplier that chains them)
+ * is checked byte for byte against a from-scratch build of every
+ * epoch on the same streams.
+ *
  * Seed count per family comes from IGCN_FUZZ_SEEDS (default 12; CI
  * sets 50 → 200 seeds). The whole suite also runs under ASan+UBSan
  * in the sanitizer CI job.
@@ -48,6 +53,7 @@
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/agg_cache.hpp"
+#include "serve/update.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn {
@@ -626,6 +632,242 @@ TEST(FuzzIncremental, DeletionOnlyStreamDrainsToIsolatedGraph)
     EXPECT_TRUE(isl.interHubEdges.empty());
     EXPECT_EQ(isl.islands.size(), g.numNodes());
     EXPECT_EQ(isl.numHubs(), 0u);
+}
+
+/** Byte equality of two arrays, sizes first. */
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/**
+ * s and a_hat are byte-equal to degreeScaling(g) and a full
+ * refreshNormalizedAdjacency of g, and a_hat's CSC adjunct equals the
+ * full build's.
+ */
+void
+expectFullBuild(const CsrGraph &g, const std::vector<float> &s,
+                const CsrMatrix &a_hat, const std::string &ctx)
+{
+    const std::vector<float> full_s = degreeScaling(g);
+    CsrMatrix full;
+    refreshNormalizedAdjacency(full, g, full_s);
+    ASSERT_TRUE(sameBytes(s, full_s)) << ctx << ": scale";
+    ASSERT_EQ(a_hat.numRows, full.numRows) << ctx;
+    ASSERT_EQ(a_hat.numCols, full.numCols) << ctx;
+    ASSERT_TRUE(sameBytes(a_hat.rowPtr, full.rowPtr)) << ctx << ": rowPtr";
+    ASSERT_TRUE(sameBytes(a_hat.colIdx, full.colIdx)) << ctx << ": colIdx";
+    ASSERT_TRUE(sameBytes(a_hat.values, full.values)) << ctx << ": values";
+    const CscIndex &csc = a_hat.csc();
+    const CscIndex &full_csc = full.csc();
+    ASSERT_TRUE(sameBytes(csc.colPtr, full_csc.colPtr)) << ctx;
+    ASSERT_TRUE(sameBytes(csc.rowOf, full_csc.rowOf)) << ctx;
+    ASSERT_TRUE(sameBytes(csc.valOf, full_csc.valOf)) << ctx;
+}
+
+/** The scaling and A_hat of one epoch, as the update applier keeps them. */
+struct EpochArrays
+{
+    CsrGraph graph;
+    std::vector<float> scale;
+    CsrMatrix normAdj;
+
+    explicit EpochArrays(CsrGraph g)
+        : graph(std::move(g)), scale(degreeScaling(graph)),
+          normAdj(normalizedAdjacency(graph))
+    {}
+
+    /**
+     * Advance by one edit with the touched-row build (graph, scaling
+     * and A_hat each patched from this epoch's) and check the result
+     * against a from-scratch build.
+     */
+    void
+    edit(std::span<const Edge> adds, std::span<const Edge> removes,
+         const std::string &ctx)
+    {
+        CsrGraph next = graph.withEditedEdges(adds, removes);
+        std::vector<NodeId> endpoints;
+        for (const auto &span : {adds, removes})
+            for (const auto &[u, v] : span) {
+                endpoints.push_back(u);
+                endpoints.push_back(v);
+            }
+        std::vector<float> next_scale = scale;
+        patchDegreeScaling(next_scale, next, endpoints);
+        CsrMatrix next_adj =
+            patchNormalizedAdjacency(normAdj, next, next_scale, endpoints);
+        expectFullBuild(next, next_scale, next_adj, ctx);
+        graph = std::move(next);
+        scale = std::move(next_scale);
+        normAdj = std::move(next_adj);
+    }
+};
+
+/** g plus a stored self loop at every third node, 0 and N-1 included. */
+CsrGraph
+withSelfLoops(const CsrGraph &g)
+{
+    std::vector<Edge> edges = g.toEdges();
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        if (v % 3 == 0 || v + 1 == g.numNodes())
+            edges.emplace_back(v, v);
+    return CsrGraph::fromEdges(g.numNodes(), edges, /*symmetrize=*/false,
+                               /*keep_self_loops=*/true);
+}
+
+TEST(FuzzIncremental, TouchedRowEpochsMatchFullRebuild)
+{
+    // Every epoch of every family's add/remove stream, patched from
+    // the previous patched epoch (as the applier chains them), must
+    // be byte-equal to a full rebuild — also on a copy of each graph
+    // that stores self loops, whose rows the writer must place the
+    // diagonal in without duplicating it.
+    const int seeds = fuzzSeedsPerFamily();
+    for (const Family &family : kFamilies) {
+        for (int seed = 0; seed < seeds; ++seed) {
+            const CsrGraph plain =
+                family.make(4000 + static_cast<uint64_t>(seed));
+            for (const bool loops : {false, true}) {
+                const std::string ctx = std::string(family.name) +
+                    " seed " + std::to_string(seed) +
+                    (loops ? " (self loops)" : "") + " (touched rows)";
+                const CsrGraph g0 = loops ? withSelfLoops(plain) : plain;
+                const std::vector<Batch> stream =
+                    makeStream(g0, 41 * seed + 3, /*num_batches=*/6,
+                               /*events_per_batch=*/14, nullptr);
+                EpochArrays epoch(g0);
+                for (size_t b = 0; b < stream.size(); ++b)
+                    ASSERT_NO_FATAL_FAILURE(
+                        epoch.edit(stream[b].adds, stream[b].removes,
+                                   ctx + " batch " + std::to_string(b)));
+            }
+        }
+    }
+}
+
+TEST(FuzzIncremental, TouchedRowEpochsCoverBoundaryShapes)
+{
+    // The shapes a touched-row build gets wrong first: the first and
+    // last rows (no untouched run before / after them), a hub
+    // endpoint (a long neighbour list to recompute), spans whose
+    // edits share an endpoint, a node drained to isolation (its row
+    // shrinks to the self loop alone), and stored self loops added
+    // and removed around it.
+    const CsrGraph g0 = withSelfLoops(
+        hubAndIslandGraph({.numNodes = 300, .seed = 17}).graph);
+    const NodeId last = g0.numNodes() - 1;
+    NodeId hub = 0;
+    for (NodeId v = 0; v < g0.numNodes(); ++v)
+        if (g0.degree(v) > g0.degree(hub))
+            hub = v;
+    EpochArrays epoch(g0);
+    // The first node from `from` on that u is not adjacent to.
+    const auto absent = [&](NodeId u, NodeId from) {
+        NodeId v = from % g0.numNodes();
+        while (v == u || epoch.graph.hasEdge(u, v))
+            v = (v + 1) % g0.numNodes();
+        return v;
+    };
+    const auto norm_edges = [&](NodeId u) {
+        std::vector<Edge> out;
+        for (NodeId v : epoch.graph.neighbors(u))
+            if (v != u)
+                out.push_back(norm(u, v));
+        return out;
+    };
+
+    ASSERT_FALSE(epoch.graph.hasEdge(0, last));
+    const std::vector<Edge> corner{{0, last}};
+    ASSERT_NO_FATAL_FAILURE(epoch.edit(corner, {}, "rows 0 and N-1"));
+
+    const NodeId a1 = absent(5, 12);
+    const std::vector<Edge> shared_adds{{5, a1}, {absent(5, a1 + 1), 5}};
+    std::vector<Edge> shared_rems = norm_edges(5);
+    ASSERT_GE(shared_rems.size(), 2u);
+    shared_rems.resize(2);
+    ASSERT_NO_FATAL_FAILURE(
+        epoch.edit(shared_adds, shared_rems, "shared endpoint"));
+
+    const std::vector<Edge> hub_adds{{hub, absent(hub, hub + 1)},
+                                     {hub, last}};
+    const std::vector<Edge> hub_rems{norm_edges(hub).front()};
+    ASSERT_NO_FATAL_FAILURE(epoch.edit(hub_adds, hub_rems, "hub endpoint"));
+
+    // Drain node 0 (which stores a self loop) to isolation, then drop
+    // the loop as well; node 1 the same way, without a loop.
+    for (const NodeId v : {NodeId{0}, NodeId{1}}) {
+        const std::string ctx = "isolate " + std::to_string(v);
+        ASSERT_FALSE(norm_edges(v).empty()) << ctx;
+        ASSERT_NO_FATAL_FAILURE(epoch.edit({}, norm_edges(v), ctx));
+        EXPECT_EQ(epoch.graph.degree(v), epoch.graph.hasEdge(v, v) ? 1u : 0u)
+            << ctx;
+    }
+    ASSERT_TRUE(epoch.graph.hasEdge(0, 0));
+    const std::vector<Edge> loops{{0, 0}, {last, last}};
+    ASSERT_NO_FATAL_FAILURE(epoch.edit({}, loops, "drop self loops"));
+    EXPECT_EQ(epoch.graph.degree(0), 0u);
+
+    // Re-attach the isolated nodes to each other and the last row.
+    const std::vector<Edge> rejoin{{0, 1}, {1, last}, {0, hub}};
+    ASSERT_NO_FATAL_FAILURE(epoch.edit(rejoin, {}, "rejoin"));
+}
+
+TEST(FuzzIncremental, UpdateApplierPublishesFullRebuildEpochs)
+{
+    // The applier end to end: every epoch it publishes for a fuzz
+    // stream (one request per batch) must hold the ground-truth graph
+    // and a scaling and A_hat byte-equal to a from-scratch build of
+    // it. The islandization is repaired incrementally and is checked
+    // by the oracles above, not here.
+    const int seeds = fuzzSeedsPerFamily();
+    for (const Family &family : kFamilies) {
+        for (int seed = 0; seed < seeds; ++seed) {
+            const std::string ctx = std::string(family.name) +
+                " seed " + std::to_string(seed) + " (applier)";
+            const CsrGraph g0 =
+                family.make(5000 + static_cast<uint64_t>(seed));
+            std::set<Edge> model;
+            for (const auto &[u, v] : g0.toEdges())
+                if (u < v)
+                    model.insert({u, v});
+            const std::vector<Batch> stream =
+                makeStream(g0, 19 * seed + 1, /*num_batches=*/5,
+                           /*events_per_batch=*/14, nullptr);
+            auto hub = std::make_shared<serve::GraphStateHub>(
+                serve::makeGraphState(g0, LocatorConfig{}));
+            serve::UpdateApplier applier(hub);
+            for (size_t b = 0; b < stream.size(); ++b) {
+                const std::string bctx =
+                    ctx + " batch " + std::to_string(b);
+                serve::Request req;
+                req.kind = serve::RequestKind::Update;
+                req.id = b;
+                req.addedEdges = stream[b].adds;
+                req.removedEdges = stream[b].removes;
+                const serve::UpdateResult res = applier.apply({&req, 1});
+                for (const Edge &e : stream[b].adds)
+                    model.insert(e);
+                for (const Edge &e : stream[b].removes)
+                    model.erase(e);
+
+                const auto state = hub->acquire();
+                ASSERT_EQ(state->epoch, res.epoch) << bctx;
+                ASSERT_EQ(state->graph,
+                          CsrGraph::fromEdges(
+                              g0.numNodes(),
+                              std::vector<Edge>(model.begin(),
+                                                model.end())))
+                    << bctx;
+                ASSERT_NO_FATAL_FAILURE(expectFullBuild(
+                    state->graph, state->scale, state->normAdj, bctx));
+            }
+        }
+    }
 }
 
 } // namespace
