@@ -158,7 +158,7 @@ main(int argc, char **argv)
         results.push_back({"spmmPullInnerProduct", {}, {}});
         results.push_back({"spmmPushColumnWise", {}, {}});
         results.push_back({"spmmPushOuterProduct", {}, {}});
-        results.push_back({"csrTransposeTimesDense", {}, {}});
+        results.push_back({"sparseTransposeTimesDense", {}, {}});
         results.push_back({"islandize", {}, {}});
         results.push_back({"gemm", {}, {}});
         results.push_back({"gcnForwardViaIslands", {}, {}});
@@ -188,7 +188,7 @@ main(int argc, char **argv)
                 spmmPushOuterProduct(a, y, nullptr);
             });
             const double xt = timeBest(reps, [&] {
-                csrTransposeTimesDense(a, y);
+                sparseTransposeTimesDense(a, y);
             });
             const double loc = timeBest(reps, [&] {
                 islandize(c.graph);

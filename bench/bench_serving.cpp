@@ -469,7 +469,7 @@ main(int argc, char **argv)
             sc.slo.qpsBudget = p.qpsBudget;
             sc.slo.stalenessBound = p.staleness;
 
-            serve::Server server(data.graph, x.dense, weights, sc);
+            serve::Server server(data.graph, x, weights, sc);
             serve::ReplayReport rep = server.runTrace(overload);
             const serve::ServerStats &st = server.stats();
             const serve::LatencySummary lat = st.inferenceLatency();

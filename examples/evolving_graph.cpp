@@ -116,7 +116,7 @@ main()
 
         auto t0 = std::chrono::steady_clock::now();
         IncrementalStats stats;
-        isl = updateIslandization(g, isl, added, lcfg, &stats);
+        isl = updateIslandization(g, isl, added, {}, lcfg, &stats);
         auto t1 = std::chrono::steady_clock::now();
         IslandizationResult fresh = islandize(g, lcfg);
         auto t2 = std::chrono::steady_clock::now();

@@ -734,13 +734,8 @@ gcnForwardViaIslands(const CsrGraph &g, const IslandizationResult &isl,
     const IslandPlan plan = compileIslandPlan(g, isl, cfg);
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw;
-        if (l == 0) {
-            xw = x.sparse ? sparseTimesDense(x.csr, weights[l])
-                          : gemm(x.dense, weights[l]);
-        } else {
-            xw = gemm(current, weights[l]);
-        }
+        DenseMatrix xw = l == 0 ? featuresTimesDense(x, weights[l])
+                                : gemm(current, weights[l]);
         scaleRows(xw, s);
         current = replayIslandPlan(plan, xw, stats);
         scaleRows(current, s);

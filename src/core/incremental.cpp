@@ -349,14 +349,4 @@ updateIslandization(const CsrGraph &g,
     return out;
 }
 
-IslandizationResult
-updateIslandization(const CsrGraph &g,
-                    const IslandizationResult &old_result,
-                    std::span<const Edge> added,
-                    const LocatorConfig &cfg, IncrementalStats *stats)
-{
-    return updateIslandization(g, old_result, added,
-                               std::span<const Edge>{}, cfg, stats);
-}
-
 } // namespace igcn

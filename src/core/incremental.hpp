@@ -137,12 +137,4 @@ updateIslandization(const CsrGraph &new_graph,
                     IncrementalStats *stats = nullptr,
                     IslandProvenance *provenance = nullptr);
 
-/** Addition-only convenience overload (the pre-deletion API). */
-IslandizationResult
-updateIslandization(const CsrGraph &new_graph,
-                    const IslandizationResult &old_result,
-                    std::span<const Edge> added,
-                    const LocatorConfig &cfg = {},
-                    IncrementalStats *stats = nullptr);
-
 } // namespace igcn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace igcn {
 
@@ -21,10 +22,32 @@ Features::storageBytes() const
     return dense.rows() * dense.cols() * sizeof(float);
 }
 
+DenseMatrix
+featuresTimesDense(const Features &x, const DenseMatrix &w)
+{
+    if (x.sparse)
+        return sparseTimesDense(x.csr, w);
+    return gemm(x.dense, w);
+}
+
+DenseMatrix
+featuresTransposeTimesDense(const Features &x, const DenseMatrix &b)
+{
+    if (x.sparse)
+        return sparseTransposeTimesDense(x.csr, b);
+    return gemmTransposeA(x.dense, b);
+}
+
 Features
 makeFeatures(NodeId num_nodes, int num_features, double density, Rng &rng,
              bool force_sparse)
 {
+    // The sparse branch stores at least one entry per row, which a
+    // zero-column matrix cannot hold.
+    if (num_features < 1)
+        throw std::invalid_argument(
+            "makeFeatures: num_features must be >= 1, got " +
+            std::to_string(num_features));
     Features f;
     // Dense storage of very sparse, very wide matrices (NELL) would
     // need tens of GB; switch to CSR beyond a size/density threshold.
@@ -39,7 +62,7 @@ makeFeatures(NodeId num_nodes, int num_features, double density, Rng &rng,
             f.dense.fillRandomSparse(rng, density, 1.0f);
         return f;
     }
-    CsrFeatures &m = f.csr;
+    CsrMatrix &m = f.csr;
     m.numRows = num_nodes;
     m.numCols = static_cast<NodeId>(num_features);
     // `f` was default-constructed above, so the CSC cache behind this
@@ -87,18 +110,6 @@ makeWeights(const ModelConfig &cfg, Rng &rng)
     return weights;
 }
 
-namespace {
-
-DenseMatrix
-combination(const Features &x, const DenseMatrix &w)
-{
-    if (x.sparse)
-        return sparseTimesDense(x.csr, w);
-    return gemm(x.dense, w);
-}
-
-} // namespace
-
 DenseMatrix
 referenceForward(const CsrGraph &g, const Features &x,
                  const std::vector<DenseMatrix> &weights)
@@ -109,7 +120,7 @@ referenceForward(const CsrGraph &g, const Features &x,
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         DenseMatrix xw = (l == 0)
-            ? combination(x, weights[l])
+            ? featuresTimesDense(x, weights[l])
             : gemm(current, weights[l]);
         current = spmmPullRowWise(a_hat, xw);
         if (l + 1 < weights.size())
@@ -129,7 +140,7 @@ factoredForward(const CsrGraph &g, const Features &x,
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         DenseMatrix xw = (l == 0)
-            ? combination(x, weights[l])
+            ? featuresTimesDense(x, weights[l])
             : gemm(current, weights[l]);
         scaleRows(xw, s);
         current = spmmPullRowWise(a_bin, xw);

@@ -22,7 +22,7 @@ struct Features
 {
     bool sparse = false;
     DenseMatrix dense;
-    CsrFeatures csr;
+    CsrMatrix csr;
 
     size_t rows() const { return sparse ? csr.numRows : dense.rows(); }
     size_t cols() const { return sparse ? csr.numCols : dense.cols(); }
@@ -32,7 +32,25 @@ struct Features
     size_t storageBytes() const;
 };
 
-/** Deterministic random features with a given density. */
+/**
+ * X W, the first-layer combination: sparseTimesDense on CSR
+ * features, gemm on dense ones. Both accumulate each output element
+ * in ascending-k order, so the two layouts give byte-equal results.
+ */
+DenseMatrix featuresTimesDense(const Features &x, const DenseMatrix &w);
+
+/**
+ * X^T B, the first-layer weight gradient: sparseTransposeTimesDense
+ * on CSR features (gathering through the CSC adjunct cached on
+ * x.csr), gemmTransposeA on dense ones.
+ */
+DenseMatrix featuresTransposeTimesDense(const Features &x,
+                                        const DenseMatrix &b);
+
+/**
+ * Deterministic random features with a given density.
+ * @throws std::invalid_argument when num_features < 1.
+ */
 Features makeFeatures(NodeId num_nodes, int num_features, double density,
                       Rng &rng, bool force_sparse = false);
 

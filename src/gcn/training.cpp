@@ -43,8 +43,7 @@ trainingForward(const CsrGraph &g, const IslandizationResult &isl,
     for (size_t l = 0; l < weights.size(); ++l) {
         cache.layerInputs.push_back(l == 0 ? DenseMatrix{} : current);
         DenseMatrix u = (l == 0)
-            ? (x.sparse ? sparseTimesDense(x.csr, weights[l])
-                        : gemm(x.dense, weights[l]))
+            ? featuresTimesDense(x, weights[l])
             : gemm(current, weights[l]);
         scaleRows(u, s);
         DenseMatrix z = replayIslandPlan(*cache.plan, u);
@@ -119,15 +118,10 @@ trainingBackward(const CsrGraph &g, const IslandizationResult &isl,
 
         // dW = X(l)^T dU. Sparse features gather through the CSC
         // adjunct cached on x.csr: built on the first backward pass,
-        // reused by every subsequent layer and epoch.
-        if (l == 0) {
-            grads.weightGrads[l] = x.sparse
-                ? sparseTransposeTimesDense(x.csr, du)
-                : gemmTransposeA(x.dense, du);
-        } else {
-            grads.weightGrads[l] =
-                gemmTransposeA(cache.layerInputs[l], du);
-        }
+        // reused by every subsequent epoch.
+        grads.weightGrads[l] =
+            l == 0 ? featuresTransposeTimesDense(x, du)
+                   : gemmTransposeA(cache.layerInputs[l], du);
 
         // dX(l) = dU W(l)^T, the upstream gradient.
         if (l > 0)

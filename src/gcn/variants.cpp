@@ -7,14 +7,6 @@ namespace igcn {
 
 namespace {
 
-DenseMatrix
-combination(const Features &x, const DenseMatrix &w)
-{
-    if (x.sparse)
-        return sparseTimesDense(x.csr, w);
-    return gemm(x.dense, w);
-}
-
 /** Row scale by 1 / (degree + 1): GraphSage mean normalization. */
 std::vector<float>
 meanScaling(const CsrGraph &g)
@@ -79,7 +71,7 @@ variantForward(const CsrGraph &g, const Features &x,
 
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw = (l == 0) ? combination(x, weights[l])
+        DenseMatrix xw = (l == 0) ? featuresTimesDense(x, weights[l])
                                   : gemm(current, weights[l]);
         current = aggregateVariant(
             g, opt, std::move(xw),
@@ -109,7 +101,7 @@ variantForwardViaIslands(const CsrGraph &g,
     std::optional<IslandPlan> plans[2];
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw = (l == 0) ? combination(x, weights[l])
+        DenseMatrix xw = (l == 0) ? featuresTimesDense(x, weights[l])
                                   : gemm(current, weights[l]);
         current = aggregateVariant(
             g, opt, std::move(xw),

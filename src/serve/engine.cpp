@@ -71,20 +71,20 @@ BatchExecInfo::aggregatedEntries() const
 }
 
 InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                                 std::vector<DenseMatrix> weights,
-                                 size_t feature_rows, size_t feature_cols)
+                                 const Features &features,
+                                 std::vector<DenseMatrix> weights)
     : hub(std::move(hub)), weights(std::move(weights))
 {
     if (!this->hub)
         throw std::invalid_argument("InferenceEngine: null hub");
     if (this->weights.empty())
         throw std::invalid_argument("InferenceEngine: no layers");
-    if (feature_rows != this->hub->acquire()->graph.numNodes())
+    if (features.rows() != this->hub->acquire()->graph.numNodes())
         throw std::invalid_argument(
             "InferenceEngine: features rows != graph nodes");
     // Checked here, not by the first batch's kernels: a batch runs on
     // the real-time scheduler thread, where a throw terminates.
-    size_t width = feature_cols;
+    size_t width = features.cols();
     for (size_t l = 0; l < this->weights.size(); ++l) {
         if (this->weights[l].rows() != width)
             throw std::invalid_argument(
@@ -92,25 +92,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
                 "] rows != its input width");
         width = this->weights[l].cols();
     }
-}
-
-InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                                 const Features &features,
-                                 std::vector<DenseMatrix> weights)
-    : InferenceEngine(std::move(hub), std::move(weights),
-                      features.rows(), features.cols())
-{
-    xw0 = features.sparse ? sparseTimesDense(features.csr, this->weights[0])
-                          : gemm(features.dense, this->weights[0]);
-}
-
-InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                                 const DenseMatrix &features,
-                                 std::vector<DenseMatrix> weights)
-    : InferenceEngine(std::move(hub), std::move(weights),
-                      features.rows(), features.cols())
-{
-    xw0 = gemm(features, this->weights[0]);
+    xw0 = featuresTimesDense(features, this->weights[0]);
 }
 
 namespace {

@@ -164,11 +164,6 @@ class InferenceEngine
                     const Features &features,
                     std::vector<DenseMatrix> weights);
 
-    /** Dense-feature convenience ctor (the pre-sparse API). */
-    InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                    const DenseMatrix &features,
-                    std::vector<DenseMatrix> weights);
-
     int numLayers() const { return static_cast<int>(weights.size()); }
     size_t numClasses() const { return weights.back().cols(); }
 
@@ -189,11 +184,6 @@ class InferenceEngine
              BatchExecInfo *info = nullptr) const;
 
   private:
-    /** Shared by the public ctors: validates everything but X W0. */
-    InferenceEngine(std::shared_ptr<GraphStateHub> hub,
-                    std::vector<DenseMatrix> weights,
-                    size_t feature_rows, size_t feature_cols);
-
     /**
      * Layer 1 on `rows` (ascending global ids; pos[v] = position of
      * v in rows, kAbsent elsewhere): A_hat rows against X W0, with

@@ -44,20 +44,6 @@ Server::Server(CsrGraph g, const Features &features,
     }
 }
 
-Server::Server(CsrGraph g, const DenseMatrix &features,
-               std::vector<DenseMatrix> weights, ServerConfig cfg)
-    : cfg(cfg),
-      hub(std::make_shared<GraphStateHub>(
-          makeGraphState(std::move(g), cfg.locator))),
-      engine(hub, features, std::move(weights)),
-      applier(hub, cfg.locator)
-{
-    if (cfg.aggCache.enabled) {
-        aggCachePtr = std::make_unique<AggCache>(cfg.aggCache);
-        engine.attachAggCache(aggCachePtr.get());
-    }
-}
-
 Server::~Server()
 {
     if (running)

@@ -126,10 +126,6 @@ class Server
      *  see InferenceEngine for what is validated. */
     Server(CsrGraph g, const Features &features,
            std::vector<DenseMatrix> weights, ServerConfig cfg = {});
-
-    /** Dense-feature convenience ctor (the pre-sparse API). */
-    Server(CsrGraph g, const DenseMatrix &features,
-           std::vector<DenseMatrix> weights, ServerConfig cfg = {});
     ~Server();
 
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.hpp"
 
@@ -27,6 +28,73 @@ CsrMatrix::toDense() const
         for (EdgeId e = rowPtr[r]; e < rowPtr[r + 1]; ++e)
             d.at(r, colIdx[e]) += values[e];
     return d;
+}
+
+CsrMatrix
+CsrMatrix::fromArrays(NodeId num_rows, NodeId num_cols,
+                      std::vector<EdgeId> row_ptr,
+                      std::vector<NodeId> col_idx, std::vector<float> vals)
+{
+    if (row_ptr.size() != static_cast<size_t>(num_rows) + 1)
+        throw std::invalid_argument(
+            "CsrMatrix::fromArrays: row_ptr size " +
+            std::to_string(row_ptr.size()) + " != num_rows + 1 = " +
+            std::to_string(static_cast<size_t>(num_rows) + 1));
+    if (row_ptr.front() != 0)
+        throw std::invalid_argument(
+            "CsrMatrix::fromArrays: row_ptr[0] != 0");
+    if (row_ptr.back() != col_idx.size())
+        throw std::invalid_argument(
+            "CsrMatrix::fromArrays: row_ptr back " +
+            std::to_string(row_ptr.back()) + " != entry count " +
+            std::to_string(col_idx.size()));
+    if (vals.size() != col_idx.size())
+        throw std::invalid_argument(
+            "CsrMatrix::fromArrays: values size " +
+            std::to_string(vals.size()) + " != col_idx size " +
+            std::to_string(col_idx.size()));
+    for (NodeId r = 0; r < num_rows; ++r) {
+        if (row_ptr[r] > row_ptr[r + 1])
+            throw std::invalid_argument(
+                "CsrMatrix::fromArrays: row_ptr not monotone at row " +
+                std::to_string(r));
+        for (EdgeId e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+            if (col_idx[e] >= num_cols)
+                throw std::invalid_argument(
+                    "CsrMatrix::fromArrays: column " +
+                    std::to_string(col_idx[e]) + " out of range in row " +
+                    std::to_string(r));
+            if (e > row_ptr[r] && col_idx[e - 1] >= col_idx[e])
+                throw std::invalid_argument(
+                    "CsrMatrix::fromArrays: columns not strictly "
+                    "ascending in row " +
+                    std::to_string(r));
+        }
+    }
+
+    CsrMatrix m;
+    m.numRows = num_rows;
+    m.numCols = num_cols;
+    m.rowPtr = std::move(row_ptr);
+    m.colIdx = std::move(col_idx);
+    m.values = std::move(vals);
+    return m;
+}
+
+double
+CsrMatrix::density() const
+{
+    const double cells =
+        static_cast<double>(numRows) * static_cast<double>(numCols);
+    return cells > 0.0 ? static_cast<double>(nnz()) / cells : 0.0;
+}
+
+size_t
+CsrMatrix::storageBytes() const
+{
+    return rowPtr.size() * sizeof(EdgeId) +
+           colIdx.size() * sizeof(NodeId) +
+           values.size() * sizeof(float);
 }
 
 const CscIndex &
@@ -106,6 +174,26 @@ gatherTiled(const std::vector<EdgeId> &ptr,
     }, /*min_per_worker=*/16);
 }
 
+/**
+ * Pull-row-wise access profile (Table 1), which software tiling does
+ * not change: each non-zero of A is one A read and pulls one full B
+ * row irregularly; every output element is written streamed once.
+ * Arithmetic in nnz and channels, so exact at every thread count.
+ */
+void
+addPullRowWiseCounters(const CsrMatrix &a, size_t channels,
+                       SpmmCounters *counters)
+{
+    if (!counters)
+        return;
+    SpmmCounters cnt;
+    cnt.aReads = a.nnz();
+    cnt.bIrregularReads = a.nnz() * channels;
+    cnt.macOps = a.nnz() * channels;
+    cnt.cStreamedWrites = static_cast<uint64_t>(a.numRows) * channels;
+    *counters += cnt;
+}
+
 } // namespace
 
 DenseMatrix
@@ -124,19 +212,7 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
     // is bit-identical at any thread count.
     gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
 
-    // Counters model the dataflow's access profile (Table 1), which
-    // software tiling does not change: each non-zero of A is one A
-    // read, pulls one full B row irregularly, and every output
-    // element is written streamed once.
-    if (counters) {
-        SpmmCounters cnt;
-        cnt.aReads = a.nnz();
-        cnt.bIrregularReads = a.nnz() * channels;
-        cnt.macOps = a.nnz() * channels;
-        cnt.cStreamedWrites =
-            static_cast<uint64_t>(a.numRows) * channels;
-        *counters += cnt;
-    }
+    addPullRowWiseCounters(a, channels, counters);
     return c;
 }
 
@@ -292,18 +368,28 @@ spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
 }
 
 DenseMatrix
-csrTimesDense(const CsrMatrix &x, const DenseMatrix &w,
-              SpmmCounters *counters)
+sparseTimesDense(const CsrMatrix &x, const DenseMatrix &w,
+                 SpmmCounters *counters)
 {
-    return spmmPullRowWise(x, w, counters);
+    if (x.numCols != w.rows())
+        throw std::invalid_argument("sparseTimesDense shape mismatch");
+    const size_t channels = w.cols();
+    DenseMatrix c(x.numRows, channels);
+    KernelRegion region("sparse_times_dense");
+    gatherTiled<false, false>(x.rowPtr, x.colIdx, x.values, w, c);
+
+    // Same access profile as spmmPullRowWise, so sparse and dense
+    // first layers are accounted under one model.
+    addPullRowWiseCounters(x, channels, counters);
+    return c;
 }
 
 DenseMatrix
-csrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
+sparseTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
 {
     if (x.numRows != b.rows())
         throw std::invalid_argument(
-            "shape mismatch in csrTransposeTimesDense");
+            "shape mismatch in sparseTransposeTimesDense");
 
     // C(j, :) = sum over non-zeros X(r, j) of X(r, j) * B(r, :): a
     // scatter in row order, but a race-free gather over the cached
@@ -315,86 +401,9 @@ csrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
     // (every training epoch hits this kernel with the same features).
     const CscIndex &csc = x.csc();
     DenseMatrix c(x.numCols, b.cols());
-    KernelRegion region("csr_transpose_times_dense");
-    gatherTiled<false, false>(csc.colPtr, csc.rowOf, csc.valOf, b, c);
-    return c;
-}
-
-DenseMatrix
-sparseTimesDense(const CsrFeatures &x, const DenseMatrix &w,
-                 SpmmCounters *counters)
-{
-    if (x.numCols != w.rows())
-        throw std::invalid_argument("sparseTimesDense shape mismatch");
-    const size_t channels = w.cols();
-    DenseMatrix c(x.numRows, channels);
-    KernelRegion region("sparse_times_dense");
-    gatherTiled<false, false>(x.rowPtr, x.colIdx, x.values, w, c);
-
-    // Same pull-row-wise access profile as spmmPullRowWise: one A
-    // read and one irregular full-row B pull per stored entry, one
-    // streamed write per output element. Arithmetic in nnz and
-    // channels, so thread-count exact and directly comparable to the
-    // dense path's rows * k * n accounting.
-    if (counters) {
-        SpmmCounters cnt;
-        cnt.aReads = x.nnz();
-        cnt.bIrregularReads = x.nnz() * channels;
-        cnt.macOps = x.nnz() * channels;
-        cnt.cStreamedWrites =
-            static_cast<uint64_t>(x.numRows) * channels;
-        *counters += cnt;
-    }
-    return c;
-}
-
-DenseMatrix
-sparseTransposeTimesDense(const CsrFeatures &x, const DenseMatrix &b)
-{
-    if (x.numRows != b.rows())
-        throw std::invalid_argument(
-            "shape mismatch in sparseTransposeTimesDense");
-
-    // Same race-free CSC gather as csrTransposeTimesDense: column j
-    // of X lists output row j's entries in ascending row order (the
-    // sequential scatter's order), workers own disjoint output rows.
-    const CsrFeatures::CscView &csc = x.csc();
-    DenseMatrix c(x.numCols, b.cols());
     KernelRegion region("sparse_transpose_times_dense");
     gatherTiled<false, false>(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
-}
-
-CsrFeatures
-denseToCsrFeatures(const DenseMatrix &m)
-{
-    CsrFeatures out;
-    out.numRows = static_cast<NodeId>(m.rows());
-    out.numCols = static_cast<NodeId>(m.cols());
-    out.rowPtr.assign(m.rows() + 1, 0);
-    const size_t nnz = m.countNonZeros();
-    out.colIdx.reserve(nnz);
-    out.values.reserve(nnz);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        for (size_t c = 0; c < m.cols(); ++c) {
-            if (m.at(r, c) != 0.0f) {
-                out.colIdx.push_back(static_cast<NodeId>(c));
-                out.values.push_back(m.at(r, c));
-            }
-        }
-        out.rowPtr[r + 1] = out.colIdx.size();
-    }
-    return out;
-}
-
-DenseMatrix
-csrFeaturesToDense(const CsrFeatures &x)
-{
-    DenseMatrix d(x.numRows, x.numCols);
-    for (NodeId r = 0; r < x.numRows; ++r)
-        for (EdgeId e = x.rowPtr[r]; e < x.rowPtr[r + 1]; ++e)
-            d.at(r, x.colIdx[e]) = x.values[e];
-    return d;
 }
 
 CsrMatrix

@@ -2,12 +2,15 @@
  * @file
  * Sparse-dense matrix multiplication in the four dataflows the paper
  * analyzes (Figure 2): PULL-Row-Wise, PULL-Inner-Product,
- * PUSH-Column-Wise and PUSH-Outer-Product.
+ * PUSH-Column-Wise and PUSH-Outer-Product, plus the sparse feature
+ * combination kernels (X W and X^T B for CSR features).
  *
- * All four compute the same product Xo = A * B; they differ in loop
- * order and therefore in which operand is reused and which is accessed
- * irregularly. Each kernel reports access counters that the Table 1
- * benchmark turns into the paper's qualitative comparison.
+ * All four dataflows compute the same product Xo = A * B; they
+ * differ in loop order and therefore in which operand is reused and
+ * which is accessed irregularly. Each kernel reports access counters
+ * that the Table 1 benchmark turns into the paper's qualitative
+ * comparison. CsrMatrix is the one float CSR type: the normalized
+ * adjacency and a sparse feature matrix share it.
  */
 
 #pragma once
@@ -16,7 +19,6 @@
 #include <span>
 
 #include "graph/csr.hpp"
-#include "graph/csr_features.hpp"
 #include "spmm/dense.hpp"
 
 namespace igcn {
@@ -36,35 +38,72 @@ struct CscIndex
     std::vector<float> valOf;   ///< value per non-zero
 };
 
-/** Sparse CSR matrix of floats (adjacency with normalization values). */
+/**
+ * Sparse CSR matrix of floats: a normalized adjacency, or a feature
+ * matrix X (rows are nodes, columns feature channels). The paper's
+ * NELL-style workloads carry features of ~0.01 density, where dense
+ * storage wastes ~100x memory and first-layer FLOPs. Explicitly
+ * stored zeros are permitted (a stored 0.0f is a structural entry,
+ * not an error), so adopting arrays never changes the sparsity
+ * structure.
+ *
+ * Builders (fromGraph, denseToCsr, makeFeatures, the adjacency
+ * normalizers) fill the public arrays directly and are responsible
+ * for the invariants; arrays from untrusted or derived sources go
+ * through fromArrays, which validates in O(nnz).
+ */
 struct CsrMatrix
 {
     NodeId numRows = 0;
     NodeId numCols = 0;
-    std::vector<EdgeId> rowPtr{0};
-    std::vector<NodeId> colIdx;
-    std::vector<float> values;
+    std::vector<EdgeId> rowPtr{0}; ///< size numRows + 1
+    std::vector<NodeId> colIdx;    ///< size nnz
+    std::vector<float> values;     ///< size nnz, parallel to colIdx
 
+    /** Stored entry count (including explicit zeros). */
     EdgeId nnz() const { return colIdx.size(); }
 
     /** Unweighted adjacency (all values 1) from a graph. */
     [[nodiscard]] static CsrMatrix fromGraph(const CsrGraph &g);
 
+    /**
+     * Adopt prebuilt arrays with O(nnz) validation: rowPtr starts at
+     * 0, is monotone, has size num_rows + 1, and ends at
+     * col_idx.size(); values parallels col_idx; every row's columns
+     * are strictly ascending and < num_cols.
+     * @throws std::invalid_argument on any violation.
+     */
+    [[nodiscard]] static CsrMatrix fromArrays(NodeId num_rows,
+                                              NodeId num_cols,
+                                              std::vector<EdgeId> row_ptr,
+                                              std::vector<NodeId> col_idx,
+                                              std::vector<float> vals);
+
     /** Dense copy, for verification on small matrices only. */
     DenseMatrix toDense() const;
+
+    /** nnz / (rows * cols); 0 for a degenerate empty matrix. */
+    double density() const;
+
+    /** Heap bytes of the three CSR arrays (the memory scoreboard). */
+    size_t storageBytes() const;
 
     /**
      * The cached CSC adjunct, built lazily on first use (thread-safe
      * one-time construction; concurrent first callers all see the
-     * same object). The push-style kernels gather through it instead
-     * of rebuilding a transpose per call. Mutating rowPtr / colIdx /
-     * values after the cache was built requires invalidateCsc();
-     * copies and assignments start with an empty cache.
+     * same object). sparseTransposeTimesDense gathers through it
+     * instead of rebuilding a transpose per call. Mutating rowPtr /
+     * colIdx / values after the cache was built requires
+     * invalidateCsc(); copies and assignments start with an empty
+     * cache.
      */
     const CscIndex &csc() const;
 
     /** Drop the cached CSC (call after mutating the non-zeros). */
     void invalidateCsc() const { cscCache.invalidate(); }
+
+    /** Equality over dimensions and arrays; the CSC cache is ignored. */
+    bool operator==(const CsrMatrix &other) const = default;
 
   private:
     LazyAdjunct<CscIndex> cscCache;
@@ -153,22 +192,6 @@ DenseMatrix spmmPushColumnWise(const CsrMatrix &a, const DenseMatrix &b,
 DenseMatrix spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
                                  SpmmCounters *counters = nullptr);
 
-/** Sparse-times-dense where the left operand is a CSR feature matrix. */
-DenseMatrix csrTimesDense(const CsrMatrix &x, const DenseMatrix &w,
-                          SpmmCounters *counters = nullptr);
-
-/**
- * C = X^T * B for CSR X (rows x k) and dense B (rows x n): the
- * backward-pass weight-gradient kernel for sparse feature matrices.
- * A race-free gather over X's cached CSC adjunct: workers own
- * disjoint output rows (columns of X) and each output element
- * accumulates its column's non-zeros in ascending row order — the
- * sequential scatter's order — so the result is bit-identical to the
- * sequential kernel at any thread count.
- */
-DenseMatrix csrTransposeTimesDense(const CsrMatrix &x,
-                                   const DenseMatrix &b);
-
 /** Convert a dense matrix into CSR form (exact, drops zeros). */
 CsrMatrix denseToCsr(const DenseMatrix &m);
 
@@ -184,22 +207,19 @@ CsrMatrix denseToCsr(const DenseMatrix &m);
  * non-zero a(i,k) terms — so on a densified copy of X the result is
  * bit-identical to gemm, at any IGCN_THREADS.
  */
-DenseMatrix sparseTimesDense(const CsrFeatures &x, const DenseMatrix &w,
+DenseMatrix sparseTimesDense(const CsrMatrix &x, const DenseMatrix &w,
                              SpmmCounters *counters = nullptr);
 
 /**
- * C = X^T * B for CSR features X (rows x k) and dense B (rows x n):
- * the backward-pass weight-gradient kernel for sparse X. A race-free
- * gather over X's cached CSC view — bit-identical to the sequential
- * scatter at any thread count, same scheme as csrTransposeTimesDense.
+ * C = X^T * B for CSR X (rows x k) and dense B (rows x n): the
+ * backward-pass weight-gradient kernel for sparse features. A
+ * race-free gather over X's cached CSC adjunct: workers own disjoint
+ * output rows (columns of X) and each output element accumulates its
+ * column's non-zeros in ascending row order — the sequential
+ * scatter's order — so the result is bit-identical to the sequential
+ * kernel at any thread count.
  */
-DenseMatrix sparseTransposeTimesDense(const CsrFeatures &x,
+DenseMatrix sparseTransposeTimesDense(const CsrMatrix &x,
                                       const DenseMatrix &b);
-
-/** Convert a dense matrix into CsrFeatures (exact, drops zeros). */
-CsrFeatures denseToCsrFeatures(const DenseMatrix &m);
-
-/** Densify a CsrFeatures matrix, for verification on small inputs. */
-DenseMatrix csrFeaturesToDense(const CsrFeatures &x);
 
 } // namespace igcn

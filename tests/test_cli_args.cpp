@@ -191,6 +191,30 @@ TEST(CliLocatorConfigArg, NegativeTh0IsAnError)
     }
 }
 
+// --- model widths (igcn serve / simulate) ----------------------------
+// `serve --features 0 --sparse-x` used to crash on a 0-column feature
+// matrix and `--features -3` to request a vector past max_size();
+// widths below 1 are now errors naming the option.
+
+TEST(CliWidthArg, NonPositiveWidthsAreErrors)
+{
+    for (const std::string key : {"features", "hidden", "classes"}) {
+        EXPECT_EQ(igcn::cli::widthArg(parse({}), key, 16), 16);
+        EXPECT_EQ(igcn::cli::widthArg(parse({"--" + key, "1"}), key, 16),
+                  1);
+        for (const char *bad : {"0", "-3", "2147483648"}) {
+            try {
+                igcn::cli::widthArg(parse({"--" + key, bad}), key, 16);
+                FAIL() << "expected std::runtime_error for --" << key
+                       << " " << bad;
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("--" + key),
+                          std::string::npos);
+            }
+        }
+    }
+}
+
 // --- the --in graph-loading path every file-taking subcommand uses --
 // main() catches these exceptions, prints them, and exits nonzero, so
 // each throw below is a nonzero CLI exit with the tested message.

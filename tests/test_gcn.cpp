@@ -193,6 +193,18 @@ TEST(Reference, SparseFeaturesDeterministic)
     EXPECT_NEAR(density, 0.005, 0.002);
 }
 
+TEST(Reference, MakeFeaturesRejectsNonPositiveWidth)
+{
+    // The sparse branch stores at least one entry per row, drawn from
+    // [0, num_features): with no columns that entry is out of range,
+    // and a server built on it would read row 0 of a 0-row W0.
+    Rng rng(5);
+    EXPECT_THROW(makeFeatures(50, 0, 0.1, rng, /*force_sparse=*/true),
+                 std::invalid_argument);
+    EXPECT_THROW(makeFeatures(50, 0, 0.1, rng), std::invalid_argument);
+    EXPECT_THROW(makeFeatures(50, -3, 0.1, rng), std::invalid_argument);
+}
+
 TEST(Reference, SparseFirstLayerForwardBitEqualsDense)
 {
     // The tentpole equivalence at the model level: a forward pass
@@ -207,7 +219,7 @@ TEST(Reference, SparseFirstLayerForwardBitEqualsDense)
     dense.dense.fillRandomSparse(rng, 0.01, 1.0f);
     Features sparse;
     sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(dense.dense);
+    sparse.csr = denseToCsr(dense.dense);
 
     ModelConfig mc;
     mc.layers = {{64, 12}, {12, 4}};
@@ -230,7 +242,7 @@ TEST(Reference, SparseFirstLayerForwardBitEqualsDense)
 TEST(Layer, ServedSparseFeaturesBitEqualDense)
 {
     // The serving path's building block: an inference engine built
-    // from CsrFeatures must serve logits byte-equal to one built from
+    // from CSR features must serve logits byte-equal to one built from
     // the densified image, for every node of the graph in one batch.
     auto hi = hubAndIslandGraph({.numNodes = 250, .seed = 33});
     Rng rng(23);
@@ -240,7 +252,7 @@ TEST(Layer, ServedSparseFeaturesBitEqualDense)
     dense.dense = x;
     Features sparse;
     sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(x);
+    sparse.csr = denseToCsr(x);
 
     ModelConfig mc;
     mc.layers = {{40, 10}, {10, 3}};

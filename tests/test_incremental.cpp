@@ -66,7 +66,7 @@ TEST(Incremental, InternalIslandEdgeAbsorbed)
     CsrGraph g2 = withEdges(hi.graph, added);
 
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 0u);
     EXPECT_GE(stats.edgesAbsorbed, 1u);
     EXPECT_EQ(updated.islands.size(), isl.islands.size());
@@ -100,7 +100,7 @@ TEST(Incremental, CrossIslandEdgeRepairsLocally)
     std::vector<Edge> added{{u, v}};
     CsrGraph g2 = withEdges(hi.graph, added);
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 2u);
     EXPECT_GT(stats.nodesReclassified, 0u);
     checkPostconditions(g2, updated, cfg);
@@ -141,7 +141,7 @@ TEST(Incremental, HubHubEdgeIsInterHub)
     std::vector<Edge> added{{h1, h2}};
     CsrGraph g2 = withEdges(hi.graph, added);
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 0u);
     checkPostconditions(g2, updated, cfg);
 }
@@ -167,7 +167,7 @@ TEST(Incremental, RandomEdgeStream)
                 added.emplace_back(u, v);
         }
         CsrGraph g2 = withEdges(g, added);
-        isl = updateIslandization(g2, isl, added, cfg);
+        isl = updateIslandization(g2, isl, added, {}, cfg);
         g = g2;
         checkPostconditions(g, isl, cfg);
     }
@@ -200,7 +200,7 @@ TEST(Incremental, BatchedMixedStreamEquivalentToOneBigBatch)
     // One big batch.
     CsrGraph g_big = hi.graph.withAddedEdges(added);
     auto isl_big =
-        updateIslandization(g_big, isl0, added, cfg);
+        updateIslandization(g_big, isl0, added, {}, cfg);
 
     // Many small batches, graph evolving between them (subspans of
     // the same stream, as the scheduler's coalescing produces).
@@ -210,7 +210,7 @@ TEST(Incremental, BatchedMixedStreamEquivalentToOneBigBatch)
         std::span<const Edge> batch(added.data() + i, 5);
         g_small = g_small.withAddedEdges(batch);
         isl_small =
-            updateIslandization(g_small, isl_small, batch, cfg);
+            updateIslandization(g_small, isl_small, batch, {}, cfg);
         checkPostconditions(g_small, isl_small, cfg);
     }
 
@@ -395,7 +395,7 @@ TEST(Incremental, MatchesFreshPruningQuality)
         return e.first == e.second;
     });
     CsrGraph g2 = withEdges(g, added);
-    auto incremental = updateIslandization(g2, isl, added, cfg);
+    auto incremental = updateIslandization(g2, isl, added, {}, cfg);
     auto fresh = islandize(g2, cfg);
     double inc_rate =
         countPruning(g2, incremental, {}).aggPruningRate();

@@ -411,7 +411,7 @@ TEST(ObsExport, PrometheusTextShape)
 struct Workload
 {
     CsrGraph graph;
-    DenseMatrix features;
+    Features features;
     std::vector<DenseMatrix> weights;
 };
 
@@ -421,8 +421,8 @@ makeWorkload(NodeId nodes, uint64_t seed)
     Workload w;
     w.graph = hubAndIslandGraph({.numNodes = nodes, .seed = seed}).graph;
     Rng rng(seed * 7 + 1);
-    w.features = DenseMatrix(nodes, 12);
-    w.features.fillRandom(rng, 1.0f);
+    w.features.dense = DenseMatrix(nodes, 12);
+    w.features.dense.fillRandom(rng, 1.0f);
     ModelConfig mc;
     mc.layers = {{12, 10}, {10, 5}};
     w.weights = makeWeights(mc, rng);

@@ -3,7 +3,7 @@
  * Differential and property tests for the parallel kernels.
  *
  * Every kernel that moved onto the thread pool — the four SpMM
- * dataflows and csrTransposeTimesDense — and the locator's islandize
+ * dataflows and sparseTransposeTimesDense — and the locator's islandize
  * are checked at 1/2/4/8 threads across the four graph families
  * against a sequential reference or a golden result:
  *
@@ -154,7 +154,7 @@ seqPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b)
 }
 
 DenseMatrix
-seqCsrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
+seqTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
 {
     DenseMatrix c(x.numCols, b.cols());
     for (NodeId r = 0; r < x.numRows; ++r) {
@@ -319,22 +319,22 @@ TEST_F(ParityTest, SpmmDataflowsMatchSequentialAcrossThreads)
     }
 }
 
-TEST_F(ParityTest, CsrTransposeTimesDenseMatchesSequentialAcrossThreads)
+TEST_F(ParityTest, SparseTransposeTimesDenseMatchesSequentialAcrossThreads)
 {
     for (const FamilyCase &fc : graphFamilies()) {
         CsrMatrix a;
         DenseMatrix b;
         makeOperands(fc.graph, a, b);
-        const DenseMatrix ref = seqCsrTransposeTimesDense(a, b);
+        const DenseMatrix ref = seqTransposeTimesDense(a, b);
 
         setGlobalThreads(1);
-        const DenseMatrix base = csrTransposeTimesDense(a, b);
+        const DenseMatrix base = sparseTransposeTimesDense(a, b);
         EXPECT_EQ(base.data(), ref.data())
             << fc.name << " @ 1 thread";
 
         for (int threads : kThreadCounts) {
             setGlobalThreads(threads);
-            const DenseMatrix c = csrTransposeTimesDense(a, b);
+            const DenseMatrix c = sparseTransposeTimesDense(a, b);
             // Tolerance-equality required, bit-identity delivered:
             // each output row gathers its CSC column in ascending
             // row order at every thread count.
@@ -342,7 +342,7 @@ TEST_F(ParityTest, CsrTransposeTimesDenseMatchesSequentialAcrossThreads)
                 << fc.name << " @ " << threads << " threads";
             EXPECT_EQ(c.data(), base.data())
                 << fc.name << " @ " << threads << " threads";
-            const DenseMatrix c2 = csrTransposeTimesDense(a, b);
+            const DenseMatrix c2 = sparseTransposeTimesDense(a, b);
             EXPECT_EQ(c2.data(), c.data())
                 << fc.name << " @ " << threads << " threads (rerun)";
         }
@@ -473,7 +473,7 @@ TEST_F(ParityTest, CscAdjunctInvalidatesOnMutationAndAssignment)
 
 TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
 {
-    // csrTransposeTimesDense is the kernel that reads the adjunct
+    // sparseTransposeTimesDense is the kernel that reads the adjunct
     // (the outer product gathers over the matrix's own CSR arrays):
     // a cold call (fresh matrix, cache built inside the kernel) and
     // a warm call (cache primed beforehand) must agree bitwise.
@@ -484,8 +484,8 @@ TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
         makeOperands(graphFamilies().front().graph, cold, b);
         CsrMatrix warm = cold;
         (void)warm.csc();
-        EXPECT_EQ(csrTransposeTimesDense(cold, b).data(),
-                  csrTransposeTimesDense(warm, b).data())
+        EXPECT_EQ(sparseTransposeTimesDense(cold, b).data(),
+                  sparseTransposeTimesDense(warm, b).data())
             << threads << " threads";
     }
 }
@@ -933,7 +933,7 @@ TEST_F(ParityTest, FuzzAgainstNaiveDenseReference)
             // rows here.
             DenseMatrix bt(ad.rows(), b.cols());
             bt.fillRandom(rng);
-            const DenseMatrix t = csrTransposeTimesDense(a, bt);
+            const DenseMatrix t = sparseTransposeTimesDense(a, bt);
             EXPECT_LE(maxAbsDiff(t, naiveDenseTransposeProduct(ad, bt)),
                       kTol) << "transpose, " << ctx;
         }

@@ -118,7 +118,7 @@ TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
 
         auto hub = std::make_shared<GraphStateHub>(
             makeGraphState(w.graph, LocatorConfig{}));
-        InferenceEngine engine(hub, w.features, w.weights);
+        InferenceEngine engine(hub, w.asFeatures(), w.weights);
 
         Rng rng(33);
         for (size_t batch_size : {size_t{1}, size_t{7}, size_t{33}}) {
@@ -156,7 +156,7 @@ TEST(ServingEngine, BatchedLHopBitIdenticalToWholeGraphReference)
     }
 }
 
-TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
+TEST(ServingEngine, DenseAndCsrFeatureLayoutsBitIdenticalOnEveryPath)
 {
     // Pubmed-density (10%) features: the dense engine's layer-0
     // product goes through gemm's zero-skip compaction, the CSR
@@ -170,7 +170,7 @@ TEST(ServingEngine, SparseAndCsrFeaturesBitIdenticalOnEveryPath)
     Features dense = w.asFeatures();
     Features csr;
     csr.sparse = true;
-    csr.csr = denseToCsrFeatures(w.features);
+    csr.csr = denseToCsr(w.features);
     ASSERT_GT(csr.csr.density(), 0.05);
     ASSERT_LT(csr.csr.density(), 0.15);
     const DenseMatrix ref = referenceForward(w.graph, dense, w.weights);
@@ -246,7 +246,7 @@ TEST(ServingEngine, FrontierBatchesMatchReferenceOnEveryShape)
         Features dense = w.asFeatures();
         Features csr;
         csr.sparse = true;
-        csr.csr = denseToCsrFeatures(w.features);
+        csr.csr = denseToCsr(w.features);
         const DenseMatrix ref =
             referenceForward(w.graph, dense, w.weights);
 
@@ -317,9 +317,12 @@ TEST(ServingEngine, WeightShapeMismatchThrowsAtConstruction)
     // A weight chain that does not fit the features must be refused
     // at construction: batches run on the real-time scheduler thread,
     // where a shape error would terminate the process. Both breaks of
-    // the chain, for either feature form.
+    // the chain, for either feature layout.
     Workload w = makeWorkload(300, 24, 8, 4, 2, 3);
     const Features x = w.asFeatures();
+    Features csr;
+    csr.sparse = true;
+    csr.csr = denseToCsr(w.features);
     auto hub = std::make_shared<GraphStateHub>(
         makeGraphState(w.graph, LocatorConfig{}));
 
@@ -328,16 +331,16 @@ TEST(ServingEngine, WeightShapeMismatchThrowsAtConstruction)
     std::vector<DenseMatrix> bad_w1 = w.weights;
     bad_w1[1] = DenseMatrix(5, 4); // rows != W0 columns
     for (const auto *bad : {&bad_w0, &bad_w1}) {
-        EXPECT_THROW(InferenceEngine(hub, w.features, *bad),
+        EXPECT_THROW(InferenceEngine(hub, csr, *bad),
                      std::invalid_argument);
         EXPECT_THROW(InferenceEngine(hub, x, *bad),
                      std::invalid_argument);
-        EXPECT_THROW(Server(w.graph, w.features, *bad),
-                     std::invalid_argument);
+        EXPECT_THROW(Server(w.graph, csr, *bad), std::invalid_argument);
         EXPECT_THROW(Server(w.graph, x, *bad), std::invalid_argument);
     }
     // The well-formed chain still constructs.
     EXPECT_NO_THROW(InferenceEngine(hub, x, w.weights));
+    EXPECT_NO_THROW(InferenceEngine(hub, csr, w.weights));
 }
 
 // ------------------------------------------------------ criterion (b)
@@ -377,7 +380,7 @@ TEST(ServingReplay, DeterministicAcrossThreadCounts)
     std::vector<std::string> summaries;
     for (int threads : {1, 2, 8}) {
         setGlobalThreads(threads);
-        Server server(w.graph, w.features, w.weights, ServerConfig{});
+        Server server(w.graph, w.asFeatures(), w.weights, ServerConfig{});
         ReplayReport rep = server.runTrace(trace);
         EXPECT_EQ(rep.inference.size(), tc.numInference);
         sigs.push_back(ReplaySignature::of(rep));
@@ -408,7 +411,7 @@ TEST(ServingReplay, SparseFeaturesBitIdenticalToDenseAcrossThreads)
     w.features.fillRandomSparse(rng, 0.01, 1.0f);
     Features sparse;
     sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(w.features);
+    sparse.csr = denseToCsr(w.features);
     ASSERT_LT(sparse.csr.density(), 0.05);
 
     TraceConfig tc;
@@ -422,7 +425,7 @@ TEST(ServingReplay, SparseFeaturesBitIdenticalToDenseAcrossThreads)
         ServerConfig sc;
         sc.scheduler.maxBatch = cap;
         setGlobalThreads(1);
-        Server dense(w.graph, w.features, w.weights, sc);
+        Server dense(w.graph, w.asFeatures(), w.weights, sc);
         const ReplaySignature want =
             ReplaySignature::of(dense.runTrace(trace));
         for (int threads : {1, 4, 8}) {
@@ -456,7 +459,7 @@ TEST(ServingReplay, PerRequestResultsInvariantAcrossBatchCaps)
     for (uint32_t cap : {1u, 4u, 64u}) {
         ServerConfig sc;
         sc.scheduler.maxBatch = cap;
-        Server server(w.graph, w.features, w.weights, sc);
+        Server server(w.graph, w.asFeatures(), w.weights, sc);
         sigs.push_back(ReplaySignature::of(server.runTrace(trace)));
     }
     // Batching may not change any request's result: FCFS order makes
@@ -555,7 +558,7 @@ goldenGridFingerprints(const ServiceModel &service)
                     ServerConfig sc;
                     sc.scheduler.maxBatch = cap;
                     sc.service = service;
-                    Server server(w.graph, w.features, w.weights, sc);
+                    Server server(w.graph, w.asFeatures(), w.weights, sc);
                     addReport(f, server.runTrace(
                                      makeSyntheticTrace(w.graph, tc)));
                 }
@@ -656,7 +659,7 @@ TEST(ServingAggCache, CacheEnabledReplayBitIdenticalToDisabled)
     };
 
     setGlobalThreads(1);
-    Server plain(w.graph, w.features, w.weights, ServerConfig{});
+    Server plain(w.graph, w.asFeatures(), w.weights, ServerConfig{});
     const auto want = logitsById(plain.runTrace(trace));
 
     ServerConfig cc;
@@ -664,7 +667,7 @@ TEST(ServingAggCache, CacheEnabledReplayBitIdenticalToDisabled)
     std::vector<ReplaySignature> cachedSigs;
     for (int threads : {1, 4, 8}) {
         setGlobalThreads(threads);
-        Server cached(w.graph, w.features, w.weights, cc);
+        Server cached(w.graph, w.asFeatures(), w.weights, cc);
         ReplayReport rep = cached.runTrace(trace);
         EXPECT_EQ(want, logitsById(rep))
             << "cached logits diverged at " << threads << " threads";
@@ -697,7 +700,7 @@ TEST(ServingAggCache, SparseFeatureServerBitIdenticalWithCache)
     w.features.fillRandomSparse(rng, 0.02, 1.0f);
     Features sparse;
     sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(w.features);
+    sparse.csr = denseToCsr(w.features);
 
     TraceConfig tc;
     tc.numInference = 200;
@@ -712,7 +715,7 @@ TEST(ServingAggCache, SparseFeatureServerBitIdenticalWithCache)
             m[r.id] = r.logits;
         return m;
     };
-    Server dense(w.graph, w.features, w.weights, ServerConfig{});
+    Server dense(w.graph, w.asFeatures(), w.weights, ServerConfig{});
     const auto want = logitsById(dense.runTrace(trace));
 
     ServerConfig cc;
@@ -802,7 +805,7 @@ TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)
     tc.numInference = 200;
     tc.numUpdates = 30;
     tc.seed = 6;
-    Server server(w.graph, w.features, w.weights, ServerConfig{});
+    Server server(w.graph, w.asFeatures(), w.weights, ServerConfig{});
     ReplayReport rep = server.runTrace(makeSyntheticTrace(w.graph, tc));
 
     EXPECT_GT(server.currentEpoch(), 0u);
@@ -824,7 +827,7 @@ TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)
             return f;
         }(),
         w.weights);
-    InferenceEngine engine(hub, w.features, w.weights);
+    InferenceEngine engine(hub, w.asFeatures(), w.weights);
     auto results = engine.runBatch(inferenceBatch({1, 44, 321}));
     for (const InferenceResult &r : results) {
         EXPECT_EQ(r.epoch, state->epoch);
@@ -844,7 +847,7 @@ TEST(ServingReplay, MixedAddRemoveEpochsStayBitIdenticalToReference)
     Workload w = makeWorkload(600, 16, 12, 6, 2, 37);
     auto hub = std::make_shared<GraphStateHub>(
         makeGraphState(w.graph, LocatorConfig{}));
-    InferenceEngine engine(hub, w.features, w.weights);
+    InferenceEngine engine(hub, w.asFeatures(), w.weights);
     UpdateApplier applier(hub);
 
     Rng rng(53);
@@ -919,7 +922,7 @@ TEST(ServingReplay, DeletionHeavyReplayDeterministicAcrossCapsAndThreads)
     for (uint32_t cap : {1u, 4u, 64u}) {
         ServerConfig sc;
         sc.scheduler.maxBatch = cap;
-        Server server(w.graph, w.features, w.weights, sc);
+        Server server(w.graph, w.asFeatures(), w.weights, sc);
         ReplayReport rep = server.runTrace(trace);
         sigs.push_back(ReplaySignature::of(rep));
         edges_removed = server.stats().edgesRemoved();
@@ -934,7 +937,7 @@ TEST(ServingReplay, DeletionHeavyReplayDeterministicAcrossCapsAndThreads)
     std::vector<std::string> summaries;
     for (int threads : {1, 8}) {
         setGlobalThreads(threads);
-        Server server(w.graph, w.features, w.weights, ServerConfig{});
+        Server server(w.graph, w.asFeatures(), w.weights, ServerConfig{});
         tsigs.push_back(ReplaySignature::of(server.runTrace(trace)));
         summaries.push_back(server.stats().summary());
     }
@@ -952,7 +955,7 @@ TEST(ServingConcurrency, InterleavedUpdatesNeverTearReads)
     Workload w = makeWorkload(600, 12, 10, 5, 2, 17);
     auto hub = std::make_shared<GraphStateHub>(
         makeGraphState(w.graph, LocatorConfig{}));
-    InferenceEngine engine(hub, w.features, w.weights);
+    InferenceEngine engine(hub, w.asFeatures(), w.weights);
     UpdateApplier applier(hub);
 
     // The writer retains every epoch's state so readers' results can
@@ -1040,7 +1043,7 @@ TEST(ServingConcurrency, InterleavedUpdatesNeverTearReads)
 TEST(ServingConcurrency, RealTimeServerServesAndDrains)
 {
     Workload w = makeWorkload(400, 12, 10, 5, 2, 29);
-    Server server(w.graph, w.features, w.weights, ServerConfig{});
+    Server server(w.graph, w.asFeatures(), w.weights, ServerConfig{});
     server.start();
 
     constexpr int kProducers = 2;

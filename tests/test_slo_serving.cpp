@@ -48,7 +48,7 @@ using namespace igcn::serve;
 struct Workload
 {
     CsrGraph graph;
-    DenseMatrix features;
+    Features features;
     std::vector<DenseMatrix> weights;
 };
 
@@ -58,8 +58,8 @@ makeWorkload(NodeId nodes, uint64_t seed)
     Workload w;
     w.graph = hubAndIslandGraph({.numNodes = nodes, .seed = seed}).graph;
     Rng rng(seed * 7 + 1);
-    w.features = DenseMatrix(nodes, 12);
-    w.features.fillRandom(rng, 1.0f);
+    w.features.dense = DenseMatrix(nodes, 12);
+    w.features.dense.fillRandom(rng, 1.0f);
     ModelConfig mc;
     mc.layers = {{12, 10}, {10, 5}};
     w.weights = makeWeights(mc, rng);
@@ -388,9 +388,7 @@ TEST(SloReplay, ServedResultsBitIdenticalToFreshReference)
     ReplayReport rep = server.runTrace(makeSyntheticTrace(w.graph, tc));
     ASSERT_EQ(rep.inference.size(), tc.numInference);
 
-    Features f;
-    f.dense = w.features;
-    DenseMatrix ref = referenceForward(w.graph, f, w.weights);
+    DenseMatrix ref = referenceForward(w.graph, w.features, w.weights);
     for (const InferenceResult &r : rep.inference) {
         EXPECT_EQ(r.epochsBehind, 0u);
         ASSERT_EQ(r.logits.size(), ref.cols());

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the sparse feature path: the CsrFeatures container and
- * the sparseTimesDense / sparseTransposeTimesDense kernels. The load-bearing claims:
+ * Tests for the sparse feature path: CsrMatrix as a feature matrix and
+ * the sparseTimesDense / sparseTransposeTimesDense kernels. The
+ * load-bearing claims:
  *
  *  (a) fromArrays validates every structural invariant, and the
- *      container handles empty rows, all-zero matrices, and explicit
+ *      matrix handles empty rows, all-zero matrices, and explicit
  *      stored zeros;
  *  (b) sparseTimesDense on the CSR image of a dense matrix is
  *      BIT-identical to gemm on that matrix — both accumulate each
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "gcn/reference.hpp"
-#include "graph/csr_features.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spmm/spmm.hpp"
 
@@ -50,101 +50,89 @@ denseAtDensity(size_t rows, size_t cols, double density, uint64_t seed)
     return m;
 }
 
-TEST(CsrFeatures, FromArraysValidatesInvariants)
+TEST(CsrMatrix, FromArraysValidatesInvariants)
 {
     // A valid 3x4 matrix with an empty middle row adopts cleanly.
-    CsrFeatures ok = CsrFeatures::fromArrays(
+    CsrMatrix ok = CsrMatrix::fromArrays(
         3, 4, {0, 2, 2, 3}, {0, 3, 1}, {1.0f, 2.0f, 3.0f});
     EXPECT_EQ(ok.nnz(), 3u);
-    EXPECT_EQ(ok.rowNnz(1), 0u);
+    EXPECT_EQ(ok.rowPtr[2] - ok.rowPtr[1], 0u);
     EXPECT_DOUBLE_EQ(ok.density(), 3.0 / 12.0);
 
     // rowPtr must have size num_rows + 1 ...
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 3}, {0, 3, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 3}, {0, 3, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
     // ... start at zero ...
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {1, 2, 2, 3},
-                                         {0, 3, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {1, 2, 2, 3},
+                                       {0, 3, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
     // ... be monotone ...
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 1, 3},
-                                         {0, 3, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 1, 3},
+                                       {0, 3, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
     // ... and end at nnz.
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 2, 2},
-                                         {0, 3, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 2, 2},
+                                       {0, 3, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
     // values must parallel colIdx.
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 2, 3},
-                                         {0, 3, 1}, {1.0f, 2.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 2, 3},
+                                       {0, 3, 1}, {1.0f, 2.0f}),
                  std::invalid_argument);
     // Columns must be in range ...
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 2, 3},
-                                         {0, 4, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 2, 3},
+                                       {0, 4, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
     // ... and strictly ascending within a row (no duplicates).
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 2, 3},
-                                         {3, 0, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 2, 3},
+                                       {3, 0, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
-    EXPECT_THROW(CsrFeatures::fromArrays(3, 4, {0, 2, 2, 3},
-                                         {0, 0, 1},
-                                         {1.0f, 2.0f, 3.0f}),
+    EXPECT_THROW(CsrMatrix::fromArrays(3, 4, {0, 2, 2, 3},
+                                       {0, 0, 1},
+                                       {1.0f, 2.0f, 3.0f}),
                  std::invalid_argument);
 
     // Explicit stored zeros are structural entries, not errors.
-    CsrFeatures zeros = CsrFeatures::fromArrays(
+    CsrMatrix zeros = CsrMatrix::fromArrays(
         2, 2, {0, 1, 2}, {0, 1}, {0.0f, 0.0f});
     EXPECT_EQ(zeros.nnz(), 2u);
 }
 
-TEST(CsrFeatures, RowIterationAndStorageAccounting)
+TEST(CsrMatrix, RowLayoutAndStorageAccounting)
 {
-    CsrFeatures m = CsrFeatures::fromArrays(
+    CsrMatrix m = CsrMatrix::fromArrays(
         3, 5, {0, 2, 2, 5}, {1, 4, 0, 2, 3},
         {1.0f, 2.0f, 3.0f, 4.0f, 5.0f});
-    FeatureRow r0 = m.row(0);
-    ASSERT_EQ(r0.cols.size(), 2u);
-    EXPECT_EQ(r0.cols[1], 4u);
-    EXPECT_EQ(r0.vals[1], 2.0f);
-    EXPECT_TRUE(m.row(1).cols.empty());
-    EXPECT_EQ(m.row(2).vals.size(), 3u);
+    ASSERT_EQ(m.rowPtr[1] - m.rowPtr[0], 2u);
+    EXPECT_EQ(m.colIdx[m.rowPtr[0] + 1], 4u);
+    EXPECT_EQ(m.values[m.rowPtr[0] + 1], 2.0f);
+    EXPECT_EQ(m.rowPtr[2], m.rowPtr[1]);
+    EXPECT_EQ(m.rowPtr[3] - m.rowPtr[2], 3u);
     EXPECT_EQ(m.storageBytes(),
               4 * sizeof(EdgeId) + 5 * sizeof(NodeId) +
                   5 * sizeof(float));
 
     // Degenerate shapes: empty matrix, all-empty rows.
-    CsrFeatures empty;
+    CsrMatrix empty;
     EXPECT_EQ(empty.nnz(), 0u);
     EXPECT_DOUBLE_EQ(empty.density(), 0.0);
-    CsrFeatures hollow = CsrFeatures::fromArrays(
+    CsrMatrix hollow = CsrMatrix::fromArrays(
         4, 7, {0, 0, 0, 0, 0}, {}, {});
     EXPECT_EQ(hollow.nnz(), 0u);
     for (NodeId r = 0; r < 4; ++r)
-        EXPECT_EQ(hollow.rowNnz(r), 0u);
+        EXPECT_EQ(hollow.rowPtr[r + 1] - hollow.rowPtr[r], 0u);
 }
 
-TEST(CsrFeatures, DenseRoundTripAtAllDensities)
-{
-    for (double density : {0.0, 0.01, 1.0}) {
-        DenseMatrix d = denseAtDensity(120, 300, density, 5);
-        CsrFeatures s = denseToCsrFeatures(d);
-        EXPECT_EQ(s.nnz(), d.countNonZeros());
-        EXPECT_TRUE(bitEqual(csrFeaturesToDense(s), d))
-            << "density " << density;
-    }
-}
-
-TEST(CsrFeatures, CscViewMatchesBruteForceTranspose)
+TEST(CsrMatrix, CscMatchesBruteForceTranspose)
 {
     DenseMatrix d = denseAtDensity(60, 80, 0.05, 11);
-    CsrFeatures s = denseToCsrFeatures(d);
-    const CsrFeatures::CscView &csc = s.csc();
+    CsrMatrix s = denseToCsr(d);
+    const CscIndex &csc = s.csc();
     ASSERT_EQ(csc.colPtr.size(), 81u);
     EXPECT_EQ(csc.colPtr.back(), s.nnz());
     for (NodeId c = 0; c < 80; ++c) {
@@ -169,7 +157,7 @@ TEST(SparseKernels, SparseTimesDenseBitEqualsGemmAtAllDensities)
     w.fillRandom(wrng, 1.0f);
     for (double density : {0.0, 0.01, 1.0}) {
         DenseMatrix d = denseAtDensity(150, 300, density, 17);
-        CsrFeatures s = denseToCsrFeatures(d);
+        CsrMatrix s = denseToCsr(d);
         EXPECT_TRUE(bitEqual(sparseTimesDense(s, w), gemm(d, w)))
             << "density " << density;
     }
@@ -180,27 +168,27 @@ TEST(SparseKernels, ExplicitStoredZerosKeepGemmParity)
     // Stored zeros contribute 0 * w to an accumulator that is never
     // negative zero, so they cannot perturb the sum gemm computes
     // without them.
-    CsrFeatures s = CsrFeatures::fromArrays(
+    CsrMatrix s = CsrMatrix::fromArrays(
         2, 3, {0, 3, 4}, {0, 1, 2, 1},
         {0.5f, 0.0f, -1.25f, 0.0f});
     Rng wrng(5);
     DenseMatrix w(3, 8);
     w.fillRandom(wrng, 1.0f);
     EXPECT_TRUE(bitEqual(sparseTimesDense(s, w),
-                         gemm(csrFeaturesToDense(s), w)));
+                         gemm(s.toDense(), w)));
 }
 
 TEST(SparseKernels, SparseTransposeTimesDenseMatchesDenseTranspose)
 {
     DenseMatrix d = denseAtDensity(140, 90, 0.03, 23);
-    CsrFeatures s = denseToCsrFeatures(d);
+    CsrMatrix s = denseToCsr(d);
     Rng brng(7);
     DenseMatrix b(140, 12);
     b.fillRandom(brng, 1.0f);
     DenseMatrix got = sparseTransposeTimesDense(s, b);
-    // Same gather order as the dense path's CSC kernel on the same
-    // structure, so bit-equality holds against it too.
-    EXPECT_TRUE(bitEqual(got, csrTransposeTimesDense(denseToCsr(d), b)));
+    // A fresh conversion builds its own CSC adjunct: same structure,
+    // same gather order, so the product is bit-identical.
+    EXPECT_TRUE(bitEqual(got, sparseTransposeTimesDense(denseToCsr(d), b)));
     // And tolerance-equality against a naive X^T B.
     for (size_t j = 0; j < 90; ++j)
         for (size_t c = 0; c < 12; ++c) {
@@ -247,7 +235,7 @@ TEST(SparseKernels, CountersMatchDensePathAccountingModel)
     // element. Cross-checked against the dense path's CSR kernel on
     // the same logical matrix.
     DenseMatrix d = denseAtDensity(100, 200, 0.05, 41);
-    CsrFeatures s = denseToCsrFeatures(d);
+    CsrMatrix s = denseToCsr(d);
     Rng wrng(43);
     DenseMatrix w(200, 8);
     w.fillRandom(wrng, 1.0f);
@@ -271,14 +259,14 @@ TEST(SparseKernels, CountersMatchDensePathAccountingModel)
               dense_path_cnt.cStreamedWrites);
 }
 
-TEST(CsrFeatures, CscCacheFollowsLazyAdjunctRules)
+TEST(CsrMatrix, CscCacheFollowsLazyAdjunctRules)
 {
     // Copying drops the cache (derived state, never identity);
     // equality ignores it; the copy rebuilds an identical view.
     DenseMatrix d = denseAtDensity(40, 30, 0.2, 53);
-    CsrFeatures a = denseToCsrFeatures(d);
+    CsrMatrix a = denseToCsr(d);
     (void)a.csc();
-    CsrFeatures b = a;
+    CsrMatrix b = a;
     EXPECT_EQ(a, b);
     EXPECT_EQ(b.csc().colPtr, a.csc().colPtr);
     EXPECT_EQ(b.csc().rowOf, a.csc().rowOf);

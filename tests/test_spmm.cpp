@@ -121,7 +121,7 @@ TEST(Spmm, AllDataflowsAgreeOnSameInput)
 
         // The transpose kernel on a symmetric adjacency pattern must
         // agree with the forward product of the transposed values.
-        const DenseMatrix t = csrTransposeTimesDense(a, b);
+        const DenseMatrix t = sparseTransposeTimesDense(a, b);
         EXPECT_LT(maxAbsDiff(t, spmmPullRowWise(denseToCsr([&] {
             DenseMatrix at(a.numCols, a.numRows);
             for (NodeId r = 0; r < a.numRows; ++r)

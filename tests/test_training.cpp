@@ -188,7 +188,7 @@ TEST(Training, SparseFeaturesBitIdenticalToDensifiedAcrossThreads)
     dense.dense.fillRandomSparse(rng, 0.01, 1.0f);
     Features sparse;
     sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(dense.dense);
+    sparse.csr = denseToCsr(dense.dense);
 
     ModelConfig mc;
     mc.layers = {{128, 10}, {10, 4}};

@@ -47,6 +47,18 @@ cmaxArg(const Args &args, NodeId fallback)
 }
 
 /**
+ * Validated model width (--features, --hidden, --classes; >= 1): the
+ * sparse feature generator stores an entry per row, which a 0-column
+ * matrix cannot hold, and a zero-width layer serves empty logits.
+ */
+inline int
+widthArg(const Args &args, const std::string &key, int fallback)
+{
+    return static_cast<int>(args.getIntInRange(
+        key, fallback, 1, std::numeric_limits<int>::max()));
+}
+
+/**
  * Island Locator options: --cmax, --decay, --th0, --parallel. A
  * --cmax below 1 or a negative --th0 is an error: cast to NodeId it
  * would wrap to about 4.29e9.

@@ -221,8 +221,8 @@ cmdSimulate(const Args &args)
     } else {
         CsrGraph g = loadGraphArg(args);
         data.info = {"custom", "CU", g.numNodes(), g.numEdges(),
-                     static_cast<int>(args.getInt("features", 128)),
-                     static_cast<int>(args.getInt("classes", 8)),
+                     widthArg(args, "features", 128),
+                     widthArg(args, "classes", 8),
                      args.getDouble("density", 0.1), 1.0};
         data.featureNnz = static_cast<EdgeId>(
             static_cast<double>(g.numNodes()) * data.info.numFeatures *
@@ -294,11 +294,10 @@ cmdServe(const Args &args)
         g = hubAndIslandGraph(params).graph;
     }
 
-    const auto num_features =
-        static_cast<int>(args.getInt("features", default_features));
-    const auto hidden = static_cast<int>(args.getInt("hidden", 16));
-    const auto classes =
-        static_cast<int>(args.getInt("classes", default_classes));
+    const int num_features =
+        widthArg(args, "features", default_features);
+    const int hidden = widthArg(args, "hidden", 16);
+    const int classes = widthArg(args, "classes", default_classes);
     const auto seed = static_cast<uint64_t>(args.getInt("seed", 42));
 
     // --feature-density below the makeFeatures threshold (or an
