@@ -4,8 +4,8 @@
  * SpMM dataflows, islandization, window op counting, the Island
  * Consumer's plan compile and replay, and the island-based
  * aggregation itself (compile plus one replay) — plus the
- * serving engine's frontier BFS, one whole micro-batch and one
- * update epoch.
+ * serving engine's frontier BFS, one whole micro-batch, one
+ * update epoch and its incremental islandization alone.
  *
  * The rewritten gather kernels (push outer-product, transpose) sweep
  * the thread count as a second benchmark argument — the per-kernel
@@ -23,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "core/consumer.hpp"
+#include "core/incremental.hpp"
 #include "core/locator.hpp"
 #include "core/redundancy.hpp"
 #include "gcn/reference.hpp"
@@ -233,7 +234,7 @@ BM_Islandize(benchmark::State &state)
     const CsrGraph &g = benchGraph();
     for (auto _ : state) {
         IslandizationResult isl = islandize(g);
-        benchmark::DoNotOptimize(isl.islands.data());
+        benchmark::DoNotOptimize(isl.islandOf.data());
     }
     state.SetItemsProcessed(state.iterations() * g.numEdges());
 }
@@ -380,6 +381,22 @@ BM_ServeBatch(benchmark::State &state)
 }
 BENCHMARK(BM_ServeBatch)->Unit(benchmark::kMicrosecond);
 
+/** `count` node pairs absent from g, drawn with a fixed seed. */
+std::vector<Edge>
+absentEdges(const CsrGraph &g, size_t count)
+{
+    Rng rng(11);
+    const NodeId n = g.numNodes();
+    std::vector<Edge> absent;
+    while (absent.size() < count) {
+        const auto u = static_cast<NodeId>(rng.nextBounded(n));
+        const auto v = static_cast<NodeId>(rng.nextBounded(n));
+        if (u != v && !g.hasEdge(u, v))
+            absent.emplace_back(u, v);
+    }
+    return absent;
+}
+
 void
 BM_UpdateApply(benchmark::State &state)
 {
@@ -392,15 +409,7 @@ BM_UpdateApply(benchmark::State &state)
     auto hub = std::make_shared<serve::GraphStateHub>(
         serve::makeGraphState(b.data.graph, LocatorConfig{}));
     serve::UpdateApplier applier(hub);
-    Rng rng(11);
-    const NodeId n = b.data.graph.numNodes();
-    std::vector<Edge> absent;
-    while (absent.size() < 64) {
-        const auto u = static_cast<NodeId>(rng.nextBounded(n));
-        const auto v = static_cast<NodeId>(rng.nextBounded(n));
-        if (u != v && !b.data.graph.hasEdge(u, v))
-            absent.emplace_back(u, v);
-    }
+    const std::vector<Edge> absent = absentEdges(b.data.graph, 64);
     serve::Request req;
     req.kind = serve::RequestKind::Update;
     size_t i = 0;
@@ -416,6 +425,44 @@ BM_UpdateApply(benchmark::State &state)
     state.counters["epochs"] = static_cast<double>(hub->currentEpoch());
 }
 BENCHMARK(BM_UpdateApply)->Unit(benchmark::kMicrosecond);
+
+void
+BM_UpdateIslandization(benchmark::State &state)
+{
+    // updateIslandization alone, over BM_UpdateApply's alternating
+    // one-edge add and remove epochs on the Pubmed surrogate; the
+    // edited graphs are built before timing starts. Each iteration
+    // also frees the previous epoch's result, as retiring an epoch
+    // does. Counters: per-epoch averages of the repair's work.
+    const CsrGraph &g = serveBench().data.graph;
+    const std::vector<Edge> edges = absentEdges(g, 16);
+    std::vector<CsrGraph> with_edge;
+    for (const Edge &e : edges)
+        with_edge.push_back(g.withEditedEdges({&e, 1}, {}));
+    const LocatorConfig cfg;
+    IslandizationResult isl = islandize(g, cfg);
+    double reclassified = 0, scanned = 0;
+    size_t i = 0;
+    for (auto _ : state) {
+        const size_t k = (i / 2) % edges.size();
+        const std::span<const Edge> e(&edges[k], 1);
+        IncrementalStats st;
+        if (i % 2 == 0)
+            isl = updateIslandization(with_edge[k], isl, e, {}, cfg, &st);
+        else
+            isl = updateIslandization(g, isl, {}, e, cfg, &st);
+        benchmark::DoNotOptimize(isl.islandOf.data());
+        reclassified += static_cast<double>(st.nodesReclassified);
+        scanned += static_cast<double>(st.edgesScanned);
+        ++i;
+    }
+    state.counters["islands"] = static_cast<double>(isl.islands.size());
+    state.counters["nodes_reclassified"] =
+        benchmark::Counter(reclassified, benchmark::Counter::kAvgIterations);
+    state.counters["edges_scanned"] =
+        benchmark::Counter(scanned, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_UpdateIslandization)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace igcn

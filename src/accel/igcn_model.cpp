@@ -90,7 +90,7 @@ simulateIgcn(const DatasetGraph &data, const ModelConfig &model,
         std::vector<uint64_t> round_prefix(isl.rounds.size(), 0);
         const IslandPlan plan = compileIslandPlan(g, isl, hw.redundancy);
         for (size_t i = 0; i < isl.islands.size(); ++i) {
-            const Island &island = isl.islands[i];
+            const Island island = isl.islands[i];
             const AggOpStats &ops = plan.islandStats[i];
             IslandCost &c = costs[i];
             c.windowUnits = ops.windowOps;

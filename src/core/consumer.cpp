@@ -383,7 +383,7 @@ buildNodeRows(const CsrGraph &g, const IslandizationResult &isl,
               const std::vector<uint32_t> &owner,
               const std::vector<uint32_t> &pos, const IslandBitmap &bm)
 {
-    const Island &island = isl.islands[island_id];
+    const Island island = isl.islands[island_id];
     for (NodeId h : island.hubs)
         if (isl.role[h] != NodeRole::Hub)
             throw std::logic_error(
@@ -442,7 +442,7 @@ compileIslandPlan(const CsrGraph &g, const IslandizationResult &isl,
 
     // Flat layout: island i owns bitmap words [bitBase[i], ...) and
     // rows [rowBase[i], ...) of the per-row arrays.
-    const std::vector<Island> &islands = isl.islands;
+    const IslandTable &islands = isl.islands;
     const size_t num_islands = islands.size();
     std::vector<size_t> bit_base(num_islands + 1, 0);
     std::vector<size_t> row_base(num_islands + 1, 0);
@@ -494,7 +494,7 @@ compileIslandPlan(const CsrGraph &g, const IslandizationResult &isl,
                 const uint32_t i = owner[nb];
                 if (i == kNone)
                     continue;
-                const std::vector<NodeId> &hubs = islands[i].hubs;
+                const std::span<const NodeId> hubs = islands[i].hubs;
                 auto it = std::lower_bound(hubs.begin(), hubs.end(), hub);
                 if (it == hubs.end() || *it != hub)
                     continue;
@@ -566,7 +566,7 @@ compileIslandPlan(const CsrGraph &g, const IslandizationResult &isl,
     pool.parallelFor(0, num_islands, [&](int, size_t lo, size_t hi) {
         CompileScratch s;
         for (size_t i = lo; i < hi; ++i) {
-            const Island &island = islands[i];
+            const Island island = islands[i];
             const IslandBitmap bm = bitmapOf(i);
             const int k = plan.islandStats[i].chosenK;
             uint32_t next_group = used_groups[i];

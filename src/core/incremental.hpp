@@ -29,7 +29,16 @@
  * is sequential and deterministic: the result (partition, island BFS
  * order, stats) is bit-identical at every IGCN_THREADS setting and
  * across reruns, the contract tests/test_fuzz_incremental.cpp locks
- * in differentially against from-scratch islandize.
+ * in differentially against from-scratch islandize, and pins with a
+ * golden fingerprint.
+ *
+ * Cost is O(touched) apart from a few flat copies: the new island
+ * table is spliced from the old one (one bulk copy per run of
+ * surviving islands, repaired islands appended), islandOf is
+ * rewritten only for islands whose id shifts, the sorted inter-hub
+ * list is edited in place, and the repair's visit marks are sized to
+ * the dirty region. Copying role/islandOf/hubRound is the only
+ * per-node work left.
  */
 
 #pragma once

@@ -152,17 +152,13 @@ runTask(LocatorState &st, NodeId hub, NodeId a0, NodeId th,
         out.stats.edgesScannedWasted += scanned;
         break;
     case TaskOutcome::IslandFound: {
-        Island island;
-        island.nodes = st.taskNodes;
-        island.hubs = st.taskHubs;
-        island.round = static_cast<int>(round);
-        island.edgesScanned = scanned;
         const auto id = static_cast<uint32_t>(out.islands.size());
-        for (NodeId v : island.nodes) {
+        for (NodeId v : st.taskNodes) {
             out.role[v] = NodeRole::IslandNode;
             out.islandOf[v] = id;
         }
-        out.islands.push_back(std::move(island));
+        out.islands.append(st.taskNodes, st.taskHubs,
+                           static_cast<int>(round), scanned);
         out.stats.islandsFound++;
         break;
     }
@@ -199,17 +195,13 @@ finishIsland(LocatorState &st, BfsEngine &e, uint32_t round)
     std::sort(e.hLocal.begin(), e.hLocal.end());
     e.hLocal.erase(std::unique(e.hLocal.begin(), e.hLocal.end()),
                    e.hLocal.end());
-    Island island;
-    island.nodes = std::move(e.vLocal);
-    island.hubs = std::move(e.hLocal);
-    island.round = static_cast<int>(round);
-    island.edgesScanned = e.edgesScanned;
     const auto island_id = static_cast<uint32_t>(out.islands.size());
-    for (NodeId v : island.nodes) {
+    for (NodeId v : e.vLocal) {
         out.role[v] = NodeRole::IslandNode;
         out.islandOf[v] = island_id;
     }
-    out.islands.push_back(std::move(island));
+    out.islands.append(e.vLocal, e.hLocal, static_cast<int>(round),
+                       e.edgesScanned);
     out.stats.islandsFound++;
     out.stats.edgesScanned += e.edgesScanned;
     e.busy = false;
@@ -437,12 +429,9 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
         out.rounds.push_back(cleanup);
         for (NodeId v : node_list) {
             assert(g.degree(v) == 0);
-            Island island;
-            island.nodes = {v};
-            island.round = static_cast<int>(round);
             out.role[v] = NodeRole::IslandNode;
             out.islandOf[v] = static_cast<uint32_t>(out.islands.size());
-            out.islands.push_back(std::move(island));
+            out.islands.append({&v, 1}, {}, static_cast<int>(round));
             out.stats.islandsFound++;
         }
     }

@@ -19,16 +19,15 @@ islandizationOrder(const IslandizationResult &isl)
             hubs_by_round[isl.hubRound[v]].push_back(v);
 
     // Islands grouped by discovery round, discovery order preserved.
-    std::vector<std::vector<const Island *>> islands_by_round(
-        isl.numRounds + 1);
-    for (const Island &island : isl.islands)
-        islands_by_round[island.round].push_back(&island);
+    std::vector<std::vector<size_t>> islands_by_round(isl.numRounds + 1);
+    for (size_t i = 0; i < isl.islands.size(); ++i)
+        islands_by_round[isl.islands[i].round].push_back(i);
 
     for (int r = 1; r <= isl.numRounds; ++r) {
         for (NodeId h : hubs_by_round[r])
             order.push_back(h);
-        for (const Island *island : islands_by_round[r])
-            for (NodeId v : island->nodes)
+        for (size_t i : islands_by_round[r])
+            for (NodeId v : isl.islands[i].nodes)
                 order.push_back(v);
     }
     assert(order.size() == n);

@@ -153,7 +153,7 @@ InferenceEngine::firstLayer(const GraphState &state,
     std::vector<uint32_t> missed;
     std::vector<float> buf;
     for (uint32_t id : candidates) {
-        const std::vector<NodeId> &members = isl.islands[id].nodes;
+        const std::span<const NodeId> members = isl.islands[id].nodes;
         if (!std::all_of(members.begin(), members.end(),
                          [&pos](NodeId m) { return pos[m] != kAbsent; }))
             continue;
@@ -177,7 +177,7 @@ InferenceEngine::firstLayer(const GraphState &state,
     spmmPullRows(a_hat, rows, xw0, {}, h1, skip);
     recordLayer(info, a_hat, rows, skip);
     for (uint32_t id : missed) {
-        const std::vector<NodeId> &members = isl.islands[id].nodes;
+        const std::span<const NodeId> members = isl.islands[id].nodes;
         std::vector<float> fill(members.size() * hidden);
         for (size_t i = 0; i < members.size(); ++i)
             std::copy_n(h1.row(pos[members[i]]), hidden,

@@ -11,10 +11,12 @@
  * the endpoint rows of the graph (CsrGraph::withEditedEdges),
  * *incremental* islandization repair (updateIslandization with both
  * spans: the paper's evolving-graph machinery, dissolve-on-remove
- * included), the endpoints' degree scaling (patchDegreeScaling), and
- * the endpoint and neighbour rows of A_hat
+ * included; it splices the parent's flat island table, so it too
+ * copies arrays rather than islands), the endpoints' degree scaling
+ * (patchDegreeScaling), and the endpoint and neighbour rows of A_hat
  * (patchNormalizedAdjacency); every other row is copied — and
- * publishes it through the GraphStateHub. In-flight inference
+ * publishes it through the GraphStateHub. Retiring an epoch frees a
+ * fixed handful of arrays, however many islands it holds. In-flight inference
  * batches keep their pre-update snapshots; batches formed after the
  * publish see the new epoch. Updates whose net effect is empty (duplicate or
  * already-present additions, already-absent removals, add/remove

@@ -138,6 +138,72 @@ TEST(CliArgs, IntInRangeRejectsOutOfRangeValues)
     EXPECT_THROW(a.getIntInRange("k", 0, 0, 4), std::runtime_error);
 }
 
+TEST(CliArgs, DoubleInRangeRejectsOutOfRangeAndNaN)
+{
+    Args a = parse({"--k", "0.5", "--zero", "0", "--nan", "nan"});
+    EXPECT_DOUBLE_EQ(a.getDoubleInRange("k", 0, 0.5, 1), 0.5);
+    EXPECT_DOUBLE_EQ(a.getDoubleInRange("k", 0, 0, 0.5), 0.5);
+    EXPECT_DOUBLE_EQ(a.getDoubleInRange("absent", 7, 0, 1), 7);
+    EXPECT_DOUBLE_EQ(a.getDoubleInRange("zero", 1, 0, 1), 0);
+    EXPECT_THROW(a.getDoubleInRange("zero", 1, 0, 1, /*lo_open=*/true),
+                 std::runtime_error);
+    EXPECT_THROW(a.getDoubleInRange("k", 0, 0.6, 1), std::runtime_error);
+    EXPECT_THROW(a.getDoubleInRange("k", 0, 0, 0.4), std::runtime_error);
+    EXPECT_THROW(a.getDoubleInRange("nan", 0, 0, 1), std::runtime_error);
+    try {
+        a.getDoubleInRange("zero", 1, 0, 1, /*lo_open=*/true);
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "--zero must be in (0, 1], got 0");
+    }
+}
+
+// --- serve trace and feature options ---------------------------------
+// `serve --feature-density -1` used to build a dense X with no entries
+// but a CSR X with one entry per row under --sparse-x, and densities
+// or fractions above 1 were accepted; they are now errors naming the
+// option.
+
+TEST(CliServeArgs, FeatureDensityMustLieInOpenZeroToOne)
+{
+    EXPECT_DOUBLE_EQ(igcn::cli::featureDensityArg(parse({}), 0.1), 0.1);
+    for (const char *ok : {"1", "0.001", "1e-9"})
+        EXPECT_DOUBLE_EQ(igcn::cli::featureDensityArg(
+                             parse({"--feature-density", ok}), 0.1),
+                         std::stod(ok));
+    for (const char *bad : {"-1", "0", "1.5", "2", "nan", "inf"}) {
+        try {
+            igcn::cli::featureDensityArg(
+                parse({"--feature-density", bad}), 0.1);
+            FAIL() << "expected std::runtime_error for "
+                   << "--feature-density " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("--feature-density"),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(CliServeArgs, FractionsMustLieInZeroToOne)
+{
+    for (const std::string key : {"remove-frac", "strict-frac"}) {
+        EXPECT_DOUBLE_EQ(igcn::cli::fractionArg(parse({}), key, 0.2), 0.2);
+        for (const char *ok : {"0", "0.5", "1"})
+            EXPECT_DOUBLE_EQ(igcn::cli::fractionArg(
+                                 parse({"--" + key, ok}), key, 0.2),
+                             std::stod(ok));
+        for (const char *bad : {"-0.1", "1.01", "2", "nan"}) {
+            try {
+                igcn::cli::fractionArg(parse({"--" + key, bad}), key, 0.2);
+                FAIL() << "expected std::runtime_error for --" << key
+                       << " " << bad;
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("--" + key),
+                          std::string::npos);
+            }
+        }
+    }
+}
+
 // --- locator options (igcn islandize / serve) ------------------------
 // `--cmax -1` and `--th0 -1` used to be cast to NodeId and wrap to
 // about 4.29e9; they are now errors naming the option.

@@ -42,6 +42,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -55,6 +56,7 @@
 #include "serve/agg_cache.hpp"
 #include "serve/update.hpp"
 #include "spmm/spmm.hpp"
+#include "tests/island_fingerprint.hpp"
 
 namespace igcn {
 namespace {
@@ -276,9 +278,11 @@ expectIdenticalPartition(const IslandizationResult &a,
 {
     ASSERT_EQ(a.islands.size(), b.islands.size()) << ctx;
     for (size_t i = 0; i < a.islands.size(); ++i) {
-        EXPECT_EQ(a.islands[i].nodes, b.islands[i].nodes)
+        EXPECT_TRUE(std::ranges::equal(a.islands[i].nodes,
+                                       b.islands[i].nodes))
             << ctx << ": island " << i << " BFS order";
-        EXPECT_EQ(a.islands[i].hubs, b.islands[i].hubs)
+        EXPECT_TRUE(std::ranges::equal(a.islands[i].hubs,
+                                       b.islands[i].hubs))
             << ctx << ": island " << i << " hub list";
         EXPECT_EQ(a.islands[i].round, b.islands[i].round)
             << ctx << ": island " << i << " round";
@@ -420,6 +424,90 @@ TEST(FuzzIncremental, AddRemoveStreamsMatchFromScratchAtAllThreadCounts)
         }
     }
     setGlobalThreads(0);
+}
+
+TEST(FuzzIncremental, UpdateIslandizationMatchesGoldenFingerprint)
+{
+    // Fingerprints of everything an update epoch produces — every
+    // field of the updated result (island order, members, hub lists,
+    // roles, islandOf, hub rounds, inter-hub map, the carried-over
+    // locator record), the IncrementalStats, the IslandProvenance and
+    // the endpoint dirty sweep — chained over fixed mixed add/remove
+    // streams on three families, at cmax 4 (many dissolves and hub
+    // demotions) and 64. Recorded on the std::vector<Island> result
+    // that the flat island table replaced: any change to what the
+    // repair computes, or to its scan order, fails here.
+    struct Golden
+    {
+        size_t family; // index into kFamilies
+        uint64_t fp;
+    };
+    const Golden kGolden[] = {
+        {0, 0x0a9eb5511d0cca06ull},
+        {1, 0x4ad597d2023d670dull},
+        {3, 0x8f913caf973a51edull},
+    };
+    for (const Golden &gold : kGolden) {
+        const Family &family = kFamilies[gold.family];
+        Fnv1a f;
+        IncrementalStats total; // non-vacuity: every repair path ran
+        for (const NodeId cmax : {NodeId{4}, NodeId{64}}) {
+            LocatorConfig cfg;
+            cfg.maxIslandSize = cmax;
+            cfg.recordTrace = true;
+            CsrGraph g = family.make(6000 + cmax);
+            IslandizationResult isl = islandize(g, cfg);
+            const auto step = [&](std::span<const Edge> adds,
+                                  std::span<const Edge> removes) {
+                CsrGraph next = g.withEditedEdges(adds, removes);
+                IncrementalStats st;
+                IslandProvenance prov;
+                isl = updateIslandization(next, isl, adds, removes, cfg,
+                                          &st, &prov);
+                g = std::move(next);
+                total.islandsDissolved += st.islandsDissolved;
+                total.hubsDemoted += st.hubsDemoted;
+                total.edgesInterHub += st.edgesInterHub;
+                total.edgesRemovedInterHub += st.edgesRemovedInterHub;
+                addResult(f, isl);
+                for (uint64_t v :
+                     {st.edgesAbsorbed, st.edgesInterHub,
+                      st.islandsDissolved, st.hubsDemoted,
+                      st.edgesRemovedInterHub, st.nodesReclassified,
+                      st.edgesScanned})
+                    f.add(v);
+                f.addAll(prov.parentOf);
+                f.addAll(dirtyIslandEndpointSweep(g, isl, adds, removes));
+            };
+            // Wide batches, then a long run of one- and two-edge ones.
+            for (const auto &[batches, events] :
+                 {std::pair{6, 14}, std::pair{24, 2}})
+                for (const Batch &batch :
+                     makeStream(g, 97 * cmax + events, batches, events,
+                                nullptr))
+                    step(batch.adds, batch.removes);
+            // Drain the three lowest-id hubs one edge at a time, so
+            // each falls below the demotion floor.
+            std::vector<NodeId> hubs;
+            for (NodeId v = 0; v < g.numNodes() && hubs.size() < 3; ++v)
+                if (isl.role[v] == NodeRole::Hub)
+                    hubs.push_back(v);
+            for (const NodeId h : hubs)
+                while (g.degree(h) > 0) {
+                    const Edge e = norm(h, g.neighbors(h).front());
+                    step({}, {&e, 1});
+                }
+        }
+        char hex[19];
+        std::snprintf(hex, sizeof hex, "%#018llx",
+                      static_cast<unsigned long long>(f.value()));
+        EXPECT_EQ(f.value(), gold.fp)
+            << family.name << ": got " << hex;
+        EXPECT_GT(total.islandsDissolved, 0u) << family.name;
+        EXPECT_GT(total.hubsDemoted, 0u) << family.name;
+        EXPECT_GT(total.edgesInterHub, 0u) << family.name;
+        EXPECT_GT(total.edgesRemovedInterHub, 0u) << family.name;
+    }
 }
 
 TEST(FuzzIncremental, CacheSurvivorsMatchColdRecomputeAtAllThreadCounts)

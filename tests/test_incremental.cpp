@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/incremental.hpp"
@@ -55,13 +57,13 @@ TEST(Incremental, InternalIslandEdgeAbsorbed)
     auto isl = islandize(hi.graph, cfg);
 
     // Find an island with >= 2 nodes and add an internal edge.
-    const Island *target = nullptr;
-    for (const Island &island : isl.islands)
+    std::optional<Island> target;
+    for (const Island island : isl.islands)
         if (island.nodes.size() >= 3) {
-            target = &island;
+            target = island;
             break;
         }
-    ASSERT_NE(target, nullptr);
+    ASSERT_TRUE(target.has_value());
     std::vector<Edge> added{{target->nodes[0], target->nodes[2]}};
     CsrGraph g2 = withEdges(hi.graph, added);
 
@@ -109,9 +111,9 @@ TEST(Incremental, CrossIslandEdgeRepairsLocally)
     std::set<std::vector<NodeId>> old_islands, new_islands;
     for (const Island &island : isl.islands)
         if (!island.nodes.empty())
-            old_islands.insert(island.nodes);
+            old_islands.emplace(island.nodes.begin(), island.nodes.end());
     for (const Island &island : updated.islands)
-        new_islands.insert(island.nodes);
+        new_islands.emplace(island.nodes.begin(), island.nodes.end());
     size_t preserved = 0;
     for (const auto &nodes : old_islands)
         if (new_islands.count(nodes))
@@ -238,19 +240,19 @@ TEST(Incremental, IntraIslandRemovalDissolvesTheIsland)
     LocatorConfig cfg;
     auto isl = islandize(hi.graph, cfg);
 
-    const Island *target = nullptr;
+    std::optional<Island> target;
     Edge internal{0, 0};
-    for (const Island &island : isl.islands) {
+    for (const Island island : isl.islands) {
         for (NodeId u : island.nodes)
             for (NodeId v : island.nodes)
                 if (u < v && hi.graph.hasEdge(u, v)) {
-                    target = &island;
+                    target = island;
                     internal = {u, v};
                 }
         if (target)
             break;
     }
-    ASSERT_NE(target, nullptr);
+    ASSERT_TRUE(target.has_value());
 
     std::vector<Edge> removed{internal};
     CsrGraph g2 = hi.graph.withRemovedEdges(removed);

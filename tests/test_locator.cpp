@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -171,8 +172,10 @@ TEST(Locator, Deterministic)
     EXPECT_EQ(a.islands.size(), b.islands.size());
     EXPECT_EQ(a.interHubEdges, b.interHubEdges);
     for (size_t i = 0; i < a.islands.size(); ++i) {
-        EXPECT_EQ(a.islands[i].nodes, b.islands[i].nodes);
-        EXPECT_EQ(a.islands[i].hubs, b.islands[i].hubs);
+        EXPECT_TRUE(
+            std::ranges::equal(a.islands[i].nodes, b.islands[i].nodes));
+        EXPECT_TRUE(
+            std::ranges::equal(a.islands[i].hubs, b.islands[i].hubs));
     }
 }
 
@@ -346,7 +349,8 @@ TEST(LocatorParallel, DeterministicGivenEngineCount)
     auto b = islandize(hi.graph, cfg);
     EXPECT_EQ(a.islands.size(), b.islands.size());
     for (size_t i = 0; i < a.islands.size(); ++i)
-        EXPECT_EQ(a.islands[i].nodes, b.islands[i].nodes);
+        EXPECT_TRUE(
+            std::ranges::equal(a.islands[i].nodes, b.islands[i].nodes));
 }
 
 TEST(LocatorParallel, DatasetSurrogates)

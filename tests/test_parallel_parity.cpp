@@ -52,7 +52,6 @@
 #include <string>
 #include <thread>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "core/consumer.hpp"
@@ -61,6 +60,7 @@
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spmm/spmm.hpp"
+#include "tests/island_fingerprint.hpp"
 
 namespace igcn {
 namespace {
@@ -501,9 +501,11 @@ expectSamePartition(const IslandizationResult &a,
 {
     ASSERT_EQ(a.islands.size(), b.islands.size()) << ctx;
     for (size_t i = 0; i < a.islands.size(); ++i) {
-        EXPECT_EQ(a.islands[i].nodes, b.islands[i].nodes)
+        EXPECT_TRUE(std::ranges::equal(a.islands[i].nodes,
+                                       b.islands[i].nodes))
             << ctx << ", island " << i;
-        EXPECT_EQ(a.islands[i].hubs, b.islands[i].hubs)
+        EXPECT_TRUE(std::ranges::equal(a.islands[i].hubs,
+                                       b.islands[i].hubs))
             << ctx << ", island " << i;
         EXPECT_EQ(a.islands[i].round, b.islands[i].round)
             << ctx << ", island " << i;
@@ -558,92 +560,6 @@ expectSameStats(const LocatorStats &a, const LocatorStats &b,
     EXPECT_EQ(a.adjListFetches, b.adjListFetches) << ctx;
     EXPECT_EQ(a.edgesScanned, b.edgesScanned) << ctx;
     EXPECT_EQ(a.edgesScannedWasted, b.edgesScannedWasted) << ctx;
-}
-
-/**
- * FNV-1a over a stream of integers. Each value is fed field by field,
- * least-significant byte first, so the hash is independent of struct
- * padding and host byte order.
- */
-class Fnv1a
-{
-  public:
-    template <typename T>
-    void
-    add(T v)
-    {
-        uint64_t bits;
-        if constexpr (std::is_enum_v<T>)
-            bits = static_cast<uint64_t>(
-                static_cast<std::underlying_type_t<T>>(v));
-        else
-            bits = static_cast<uint64_t>(v);
-        for (size_t i = 0; i < sizeof(T); ++i) {
-            h ^= (bits >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    template <typename T>
-    void
-    addAll(const std::vector<T> &vs)
-    {
-        add(static_cast<uint64_t>(vs.size()));
-        for (const T &v : vs)
-            add(v);
-    }
-
-    uint64_t value() const { return h; }
-
-  private:
-    uint64_t h = 0xcbf29ce484222325ull;
-};
-
-/** Fingerprint of every field of an islandization result. */
-uint64_t
-fingerprint(const IslandizationResult &r)
-{
-    Fnv1a f;
-    f.add(static_cast<uint64_t>(r.islands.size()));
-    for (const Island &isl : r.islands) {
-        f.addAll(isl.nodes);
-        f.addAll(isl.hubs);
-        f.add(isl.round);
-        f.add(isl.edgesScanned);
-    }
-    f.add(static_cast<uint64_t>(r.rounds.size()));
-    for (const RoundInfo &ri : r.rounds) {
-        f.add(ri.threshold);
-        f.add(ri.nodesChecked);
-        f.add(ri.hubsDetected);
-        f.add(ri.edgesScanned);
-        f.add(ri.islandsFound);
-    }
-    f.add(static_cast<uint64_t>(r.taskTrace.size()));
-    for (const TaskTrace &t : r.taskTrace) {
-        f.add(t.round);
-        f.add(t.outcome);
-        f.add(t.edgesScanned);
-        f.add(t.hubDegree);
-    }
-    f.addAll(r.role);
-    f.addAll(r.islandOf);
-    f.addAll(r.hubRound);
-    f.add(static_cast<uint64_t>(r.interHubEdges.size()));
-    for (const Edge &e : r.interHubEdges) {
-        f.add(e.first);
-        f.add(e.second);
-    }
-    f.addAll(r.thresholds);
-    f.add(r.numRounds);
-    const LocatorStats &s = r.stats;
-    for (uint64_t v : {s.tasksGenerated, s.tasksDroppedStartVisited,
-                       s.tasksDroppedCollision, s.tasksDroppedOversize,
-                       s.tasksInterHub, s.islandsFound, s.hubDetectChecks,
-                       s.adjListFetches, s.edgesScanned,
-                       s.edgesScannedWasted})
-        f.add(v);
-    return f.value();
 }
 
 TEST_F(ParityTest, IslandizeMatchesGoldenFingerprint)
@@ -1338,18 +1254,34 @@ TEST_F(ParityTest, IslandPlanMatchesSequentialConsumerAcrossThreads)
     }
 }
 
+/** t with island `id`'s hub list replaced by `hubs`. */
+IslandTable
+withHubList(const IslandTable &t, size_t id,
+            const std::vector<NodeId> &hubs)
+{
+    IslandTable out;
+    for (size_t i = 0; i < t.size(); ++i) {
+        const Island island = t[i];
+        out.append(island.nodes,
+                   i == id ? std::span<const NodeId>(hubs) : island.hubs,
+                   island.round, island.edgesScanned);
+    }
+    return out;
+}
+
 TEST_F(ParityTest, IslandPlanRejectsCoverageViolationAtCompile)
 {
     const CsrGraph g = graphFamilies().front().graph;
     IslandizationResult isl = islandize(g);
     // Drop a hub from the first island that borders one: its island
     // nodes now have a neighbor outside the island and its hubs.
-    auto it = std::find_if(isl.islands.begin(), isl.islands.end(),
-                           [](const Island &island) {
-                               return !island.hubs.empty();
-                           });
-    ASSERT_NE(it, isl.islands.end());
-    it->hubs.pop_back();
+    size_t id = 0;
+    while (id < isl.islands.size() && isl.islands[id].hubs.empty())
+        ++id;
+    ASSERT_LT(id, isl.islands.size());
+    const std::span<const NodeId> hubs = isl.islands[id].hubs;
+    isl.islands = withHubList(
+        isl.islands, id, {hubs.begin(), hubs.end() - 1});
     for (int threads : kThreadCounts) {
         setGlobalThreads(threads);
         try {
@@ -1378,7 +1310,10 @@ TEST_F(ParityTest, IslandPlanRejectsNonHubInHubListAtCompile)
     IslandizationResult isl = islandize(g);
     ASSERT_GE(isl.islands.size(), 2u);
     // Name another island's member as a hub of the last island.
-    isl.islands.back().hubs.push_back(isl.islands.front().nodes[0]);
+    const Island last = isl.islands.back();
+    std::vector<NodeId> hubs(last.hubs.begin(), last.hubs.end());
+    hubs.push_back(isl.islands.front().nodes[0]);
+    isl.islands = withHubList(isl.islands, isl.islands.size() - 1, hubs);
     for (int threads : kThreadCounts) {
         setGlobalThreads(threads);
         try {

@@ -267,7 +267,8 @@ TEST(ServingEngine, FrontierBatchesMatchReferenceOnEveryShape)
         }
         batches.push_back({isolated});
         batches.push_back({hub_node, hub_node});
-        batches.push_back(state->islands.islands.front().nodes);
+        const Island first = state->islands.islands.front();
+        batches.emplace_back(first.nodes.begin(), first.nodes.end());
         batches.push_back(wideBatch(w.graph));
         ASSERT_GE(lHopFrontiers(w.graph, batches.back(), 1)[1].size(),
                   w.graph.numNodes() * 9 / 10);

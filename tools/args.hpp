@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -152,7 +153,36 @@ class Args
         }
     }
 
+    /**
+     * Double value of --key, which must lie in [lo, hi], or in
+     * (lo, hi] when lo_open; fallback when absent.
+     * @throws std::runtime_error on a valueless, non-numeric, NaN or
+     * out-of-range value.
+     */
+    double
+    getDoubleInRange(const std::string &key, double fallback, double lo,
+                     double hi, bool lo_open = false) const
+    {
+        const double v = getDouble(key, fallback);
+        const bool above_lo = lo_open ? v > lo : v >= lo;
+        if (has(key) && !(above_lo && v <= hi)) // NaN fails both
+            throw std::runtime_error(
+                "--" + key + " must be in " + (lo_open ? "(" : "[") +
+                formatBound(lo) + ", " + formatBound(hi) + "], got " +
+                get(key));
+        return v;
+    }
+
   private:
+    /** Shortest %g rendering of a range bound ("0", "1", "0.5"). */
+    static std::string
+    formatBound(double v)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return buf;
+    }
+
     /** nullopt = flag given without a value (presence only). */
     std::map<std::string, std::optional<std::string>> values;
     std::vector<std::string> parseErrors;

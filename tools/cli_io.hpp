@@ -58,6 +58,25 @@ widthArg(const Args &args, const std::string &key, int fallback)
         key, fallback, 1, std::numeric_limits<int>::max()));
 }
 
+/** Validated fraction option (--remove-frac, --strict-frac; [0, 1]). */
+inline double
+fractionArg(const Args &args, const std::string &key, double fallback)
+{
+    return args.getDoubleInRange(key, fallback, 0.0, 1.0);
+}
+
+/**
+ * Validated --feature-density ((0, 1]): outside it the dense and CSR
+ * feature builders disagree (a dense X with no entries against a CSR
+ * X that keeps one entry per row), and neither is a density.
+ */
+inline double
+featureDensityArg(const Args &args, double fallback)
+{
+    return args.getDoubleInRange("feature-density", fallback, 0.0, 1.0,
+                                 /*lo_open=*/true);
+}
+
 /**
  * Island Locator options: --cmax, --decay, --th0, --parallel. A
  * --cmax below 1 or a negative --th0 is an error: cast to NodeId it

@@ -304,7 +304,7 @@ cmdServe(const Args &args)
     // explicit --sparse-x) serves CSR features end to end: the engine
     // gathers sparse rows per micro-batch instead of densifying.
     const double feature_density =
-        args.getDouble("feature-density", default_density);
+        featureDensityArg(args, default_density);
     // A named dataset at NELL-like density always serves CSR: the
     // surrogate exists to exercise the sparse path, and NellSmall's
     // cell count sits below makeFeatures' auto-sparse threshold.
@@ -324,7 +324,7 @@ cmdServe(const Args &args)
         static_cast<uint64_t>(args.getInt("requests", 10000));
     tc.numUpdates =
         static_cast<uint64_t>(args.getInt("updates", 1000));
-    tc.removeFraction = args.getDouble("remove-frac", 0.2);
+    tc.removeFraction = fractionArg(args, "remove-frac", 0.2);
     tc.seed = seed;
     const std::string pattern = args.get("pattern", "poisson");
     if (pattern == "burst")
@@ -338,7 +338,7 @@ cmdServe(const Args &args)
         static_cast<uint32_t>(args.getInt("tenants", 1));
     tc.deadlineUs =
         static_cast<uint64_t>(args.getInt("deadline-us", 0));
-    tc.strictFraction = args.getDouble("strict-frac", 0.0);
+    tc.strictFraction = fractionArg(args, "strict-frac", 0.0);
     std::vector<serve::Request> trace =
         serve::makeSyntheticTrace(g, tc);
 
