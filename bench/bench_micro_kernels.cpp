@@ -150,33 +150,128 @@ BM_CscAdjunctBuild(benchmark::State &state)
 }
 BENCHMARK(BM_CscAdjunctBuild);
 
+/** Pubmed surrogate's feature shape: 19717 nodes x 500 channels. */
+constexpr NodeId kPubmedRows = 19717;
+constexpr int kPubmedCols = 500;
+
+/**
+ * First-layer features: range(0) = density in permille, range(1) =
+ * CSR storage (0 = dense), range(3) = shape (0 = 4096 x 4096, 1 =
+ * Pubmed). A dense X gets its CSR adjunct built here, so the timed
+ * loop sees the steady state every later call sees.
+ */
+Features
+firstLayerFeatures(const benchmark::State &state, Rng &rng)
+{
+    const bool pubmed = state.range(3) != 0;
+    Features x = makeFeatures(pubmed ? kPubmedRows : 4096,
+                              pubmed ? kPubmedCols : 4096,
+                              static_cast<double>(state.range(0)) / 1000.0,
+                              rng, /*force_sparse=*/state.range(1) != 0);
+    (void)x.rowsCsr();
+    return x;
+}
+
 void
 BM_FirstLayerCombination(benchmark::State &state)
 {
-    // Layer-0 X*W at one shape in both storage forms — the time
-    // ratio between the sparse=1 and sparse=0 rows at one density is
-    // the first-layer speedup the CSR path buys. range(0) = density
-    // in permille, range(1) = sparse form, range(2) = threads.
+    // Layer-0 X*W through featuresTimesDense, the route every caller
+    // takes: a dense X at most a quarter full runs the sparse kernel
+    // on its CSR adjunct, a denser one runs gemm. The sparse=1 rows
+    // store X as CSR outright. range(2) = threads; see
+    // firstLayerFeatures for the rest.
     RssScope rss(state);
     setGlobalThreads(static_cast<int>(state.range(2)));
-    const double density =
-        static_cast<double>(state.range(0)) / 1000.0;
-    const bool sparse = state.range(1) != 0;
     Rng rng(3);
-    Features x = makeFeatures(4096, 4096, density, rng, sparse);
-    DenseMatrix w(4096, 16);
+    const Features x = firstLayerFeatures(state, rng);
+    DenseMatrix w(x.cols(), 16);
     w.fillRandom(rng);
     for (auto _ : state) {
-        DenseMatrix c = sparse ? sparseTimesDense(x.csr, w, nullptr)
-                               : gemm(x.dense, w);
+        DenseMatrix c = featuresTimesDense(x, w);
         benchmark::DoNotOptimize(c.data().data());
     }
+    state.counters["csr_route"] = x.rowsCsr() != nullptr;
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(x.nnz()) * 16);
     setGlobalThreads(0);
 }
 BENCHMARK(BM_FirstLayerCombination)
-    ->ArgsProduct({{10, 100}, {0, 1}, {1, 4}});
+    ->ArgsProduct({{10, 100}, {0, 1}, {1, 4}, {0}})
+    ->ArgsProduct({{100, 300, 1000}, {0, 1}, {1, 4}, {1}});
+
+void
+BM_FirstLayerTransposeCombination(benchmark::State &state)
+{
+    // The backward twin: dW0 = X^T * dU through
+    // featuresTransposeTimesDense at the Pubmed shape, 16 hidden
+    // channels. Same arguments as BM_FirstLayerCombination.
+    RssScope rss(state);
+    setGlobalThreads(static_cast<int>(state.range(2)));
+    Rng rng(3);
+    const Features x = firstLayerFeatures(state, rng);
+    if (const CsrMatrix *rows = x.rowsCsr())
+        (void)rows->csc();
+    DenseMatrix du(x.rows(), 16);
+    du.fillRandom(rng);
+    for (auto _ : state) {
+        DenseMatrix c = featuresTransposeTimesDense(x, du);
+        benchmark::DoNotOptimize(c.data().data());
+    }
+    state.counters["csr_route"] = x.rowsCsr() != nullptr;
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(x.nnz()) * 16);
+    setGlobalThreads(0);
+}
+BENCHMARK(BM_FirstLayerTransposeCombination)
+    ->ArgsProduct({{100, 300, 1000}, {0, 1}, {1, 4}, {1}});
+
+void
+BM_FeatureAdjunctBuild(benchmark::State &state)
+{
+    // Cost of the one-time dense -> CSR compaction behind
+    // Features::rowsCsr() at the Pubmed shape: the count pass and,
+    // under the nnz <= cells / 4 gate, the fill pass (at 300 permille
+    // only the count runs). range(0) = density in permille, range(1)
+    // = threads.
+    RssScope rss(state);
+    setGlobalThreads(static_cast<int>(state.range(1)));
+    Rng rng(3);
+    const Features x =
+        makeFeatures(kPubmedRows, kPubmedCols,
+                     static_cast<double>(state.range(0)) / 1000.0, rng);
+    for (auto _ : state) {
+        x.invalidateRowsCsr();
+        benchmark::DoNotOptimize(x.rowsCsr());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(x.dense.data().size()));
+    setGlobalThreads(0);
+}
+BENCHMARK(BM_FeatureAdjunctBuild)->ArgsProduct({{100, 300}, {1, 4}});
+
+void
+BM_FirstLayerFirstCall(benchmark::State &state)
+{
+    // The first featuresTimesDense on a fresh dense Pubmed X (adjunct
+    // build plus sparse kernel), range(0) = 1, against a plain
+    // gemm(X, W), range(0) = 0: the one-time price of the route.
+    // range(1) = threads.
+    RssScope rss(state);
+    setGlobalThreads(static_cast<int>(state.range(1)));
+    Rng rng(3);
+    const Features x = makeFeatures(kPubmedRows, kPubmedCols, 0.1, rng);
+    DenseMatrix w(kPubmedCols, 16);
+    w.fillRandom(rng);
+    const bool first_call = state.range(0) != 0;
+    for (auto _ : state) {
+        x.invalidateRowsCsr();
+        DenseMatrix c = first_call ? featuresTimesDense(x, w)
+                                   : gemm(x.dense, w);
+        benchmark::DoNotOptimize(c.data().data());
+    }
+    setGlobalThreads(0);
+}
+BENCHMARK(BM_FirstLayerFirstCall)->ArgsProduct({{0, 1}, {1, 4}});
 
 void
 BM_DenseTransposeCombination(benchmark::State &state)

@@ -318,7 +318,10 @@ main(int argc, char **argv)
     // 0.01 / 0.1 / 1.0. feature_kb is the exact storage scoreboard;
     // peak_rss_kb corroborates it — the process peak is monotone, so
     // the three CSR arms run first and the staircase up to the dense
-    // arms is the memory the sparse path never touches.
+    // arms is the memory the sparse path never touches. The dense
+    // arms at 0.01 and 0.1 build X W0 through their CSR adjunct
+    // (Features::rowsCsr), so only storage differs there; their
+    // peak RSS includes that adjunct, and feature_kb does not.
     {
         const double ds_scale = quick ? 0.25 : 0.5;
         DatasetGraph data = buildDataset(Dataset::NellSmall, ds_scale);

@@ -22,19 +22,32 @@ Features::storageBytes() const
     return dense.rows() * dense.cols() * sizeof(float);
 }
 
+const CsrMatrix *
+Features::rowsCsr() const
+{
+    if (sparse)
+        return &csr;
+    const std::optional<CsrMatrix> &built = denseCsr.get([this] {
+        const EdgeId cells = static_cast<EdgeId>(dense.rows()) *
+                             static_cast<EdgeId>(dense.cols());
+        return denseToCsrAtMost(dense, cells / kAdjunctMinSparsity);
+    });
+    return built ? &*built : nullptr;
+}
+
 DenseMatrix
 featuresTimesDense(const Features &x, const DenseMatrix &w)
 {
-    if (x.sparse)
-        return sparseTimesDense(x.csr, w);
+    if (const CsrMatrix *rows = x.rowsCsr())
+        return sparseTimesDense(*rows, w);
     return gemm(x.dense, w);
 }
 
 DenseMatrix
 featuresTransposeTimesDense(const Features &x, const DenseMatrix &b)
 {
-    if (x.sparse)
-        return sparseTransposeTimesDense(x.csr, b);
+    if (const CsrMatrix *rows = x.rowsCsr())
+        return sparseTransposeTimesDense(*rows, b);
     return gemmTransposeA(x.dense, b);
 }
 

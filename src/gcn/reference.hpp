@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <optional>
+
 #include "gcn/layer.hpp"
 #include "gcn/models.hpp"
 #include "graph/rng.hpp"
@@ -17,9 +19,31 @@
 
 namespace igcn {
 
-/** Input features: dense or CSR (NELL's X is far too sparse for dense). */
+/**
+ * Input features: dense or CSR (NELL's X is far too sparse for dense).
+ *
+ * A dense matrix sparse enough for the CSR kernels to win carries a
+ * lazily built CSR adjunct (rowsCsr()), so the first-layer
+ * combination and its weight gradient run on the sparse kernels
+ * without a second copy in the caller's hands. The adjunct follows
+ * the LazyAdjunct rules: copies start without it, moves transfer it,
+ * copy-assignment drops it, and concurrent first callers see one
+ * object. Mutating `dense` after it was built requires
+ * invalidateRowsCsr().
+ */
 struct Features
 {
+    /**
+     * The adjunct gate: a dense X gets a CSR image only while
+     * nnz <= rows * cols / kAdjunctMinSparsity. Measured at the
+     * Pubmed shape (19717 x 500, 16 channels, 4 vCPUs): the sparse
+     * kernels win ~2x at density 0.1, break about even for X W at
+     * 0.3, and lose ~1.8x at 1.0, where the CSR would also take
+     * twice the dense array's memory. A property of the matrix, not
+     * a tuning knob.
+     */
+    static constexpr EdgeId kAdjunctMinSparsity = 4;
+
     bool sparse = false;
     DenseMatrix dense;
     CsrMatrix csr;
@@ -28,21 +52,39 @@ struct Features
     size_t cols() const { return sparse ? csr.numCols : dense.cols(); }
     EdgeId nnz() const;
 
-    /** Heap bytes of the active representation. */
+    /** Heap bytes of the active representation; the CSR adjunct of
+     *  dense features (rowsCsr()) is derived state and not counted. */
     size_t storageBytes() const;
+
+    /**
+     * The rows as CSR, for the sparse combination kernels: &csr for
+     * CSR features; for dense ones, the cached denseToCsr(dense) when
+     * it passes the kAdjunctMinSparsity gate, else nullptr. The
+     * first call counts (and, under the gate, compacts) `dense` on
+     * the thread pool; the outcome is cached either way.
+     */
+    const CsrMatrix *rowsCsr() const;
+
+    /** Drop the cached adjunct (call after mutating `dense`). */
+    void invalidateRowsCsr() const { denseCsr.invalidate(); }
+
+  private:
+    LazyAdjunct<std::optional<CsrMatrix>> denseCsr;
 };
 
 /**
- * X W, the first-layer combination: sparseTimesDense on CSR
- * features, gemm on dense ones. Both accumulate each output element
- * in ascending-k order, so the two layouts give byte-equal results.
+ * X W, the first-layer combination: sparseTimesDense on
+ * x.rowsCsr() when there is one, gemm on the dense array otherwise.
+ * Both accumulate each output element in ascending-k order over the
+ * same terms, so the routes give byte-equal results.
  */
 DenseMatrix featuresTimesDense(const Features &x, const DenseMatrix &w);
 
 /**
  * X^T B, the first-layer weight gradient: sparseTransposeTimesDense
- * on CSR features (gathering through the CSC adjunct cached on
- * x.csr), gemmTransposeA on dense ones.
+ * on x.rowsCsr() when there is one (gathering through that matrix's
+ * CSC adjunct: x.csr's for CSR features, the feature adjunct's own
+ * for dense ones), gemmTransposeA on the dense array otherwise.
  */
 DenseMatrix featuresTransposeTimesDense(const Features &x,
                                         const DenseMatrix &b);

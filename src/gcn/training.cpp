@@ -116,9 +116,9 @@ trainingBackward(const CsrGraph &g, const IslandizationResult &isl,
             replayIslandPlan(*plan, grad, &grads.backwardAggOps);
         scaleRows(du, s);
 
-        // dW = X(l)^T dU. Sparse features gather through the CSC
-        // adjunct cached on x.csr: built on the first backward pass,
-        // reused by every subsequent epoch.
+        // dW = X(l)^T dU. Layer 0 gathers through the CSC adjunct of
+        // x.rowsCsr() (x.csr, or a dense X's cached CSR image): built
+        // on the first backward pass, reused by every later epoch.
         grads.weightGrads[l] =
             l == 0 ? featuresTransposeTimesDense(x, du)
                    : gemmTransposeA(cache.layerInputs[l], du);

@@ -29,8 +29,8 @@ namespace igcn {
 /** Cached per-layer state from the forward pass. */
 struct ForwardCache
 {
-    /** Input to each layer's combination (X(l)); [0] unused when the
-     *  input features are sparse (kept in the Features object). */
+    /** Input to each layer's combination (X(l)); [0] is always
+     *  empty — layer 0 reads the Features object itself. */
     std::vector<DenseMatrix> layerInputs;
     /** Pre-activation outputs S (A+I) S X W of each layer. */
     std::vector<DenseMatrix> preActivations;

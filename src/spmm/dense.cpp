@@ -45,11 +45,7 @@ DenseMatrix::fillRandomSparse(Rng &rng, double density, float scale)
 size_t
 DenseMatrix::countNonZeros() const
 {
-    size_t nnz = 0;
-    for (float v : values)
-        if (v != 0.0f)
-            nnz++;
-    return nnz;
+    return igcn::countNonZeros(values.data(), values.size());
 }
 
 double
@@ -65,19 +61,13 @@ maxAbsDiff(const DenseMatrix &a, const DenseMatrix &b)
     return best;
 }
 
-namespace {
-
-/**
- * Branch-free compaction: writes the offsets of the non-zero entries
- * of a[0, len) to idx in ascending order and returns their count. idx
- * needs room for len entries. Clearing the sign bit leaves zero only
- * for +0.0f and -0.0f, so the test is exactly `a[k] != 0.0f` (NaN
- * kept), the complement of a scalar `if (a == 0.0f) continue;` skip,
- * without a float compare.
- */
 size_t
 compactNonZeros(const float *a, size_t len, uint32_t *idx)
 {
+    // Clearing the sign bit leaves zero only for +0.0f and -0.0f, so
+    // the test is exactly `a[k] != 0.0f` (NaN kept), the complement of
+    // a scalar `if (a == 0.0f) continue;` skip, without a float
+    // compare.
     size_t nnz = 0;
     for (size_t k = 0; k < len; ++k) {
         uint32_t bits = 0;
@@ -87,6 +77,21 @@ compactNonZeros(const float *a, size_t len, uint32_t *idx)
     }
     return nnz;
 }
+
+size_t
+countNonZeros(const float *a, size_t len)
+{
+    // The same sign-bit-cleared test, with no store: vectorizes.
+    size_t nnz = 0;
+    for (size_t k = 0; k < len; ++k) {
+        uint32_t bits = 0;
+        std::memcpy(&bits, a + k, sizeof bits);
+        nnz += (bits & 0x7fffffffu) != 0;
+    }
+    return nnz;
+}
+
+namespace {
 
 /**
  * Four float lanes (GCC/Clang vector extension: SSE2 on x86-64, plain

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/rng.hpp"
@@ -72,6 +73,18 @@ double maxAbsDiff(const DenseMatrix &a, const DenseMatrix &b);
  * scalar `if (a == 0.0f) continue;` loop: a NaN factor is kept, and an
  * inf or NaN in B opposite a zero in A never reaches the sum.
  */
+
+/**
+ * The kernels' zero test, branch-free: writes the offsets of the
+ * entries of a[0, len) that are not ±0.0f (NaN and inf kept) to idx
+ * in ascending order and returns their count. idx needs room for len
+ * entries. gemm, gemmTransposeA and denseToCsr all select terms
+ * through it, so a dense matrix and its CSR image hold the same terms.
+ */
+size_t compactNonZeros(const float *a, size_t len, uint32_t *idx);
+
+/** The number of entries compactNonZeros keeps from a[0, len). */
+size_t countNonZeros(const float *a, size_t len);
 
 /** Dense matrix product C = A * B, zero terms of A skipped. */
 DenseMatrix gemm(const DenseMatrix &a, const DenseMatrix &b);

@@ -1,6 +1,7 @@
 #include "spmm/spmm.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -406,26 +407,54 @@ sparseTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
     return c;
 }
 
-CsrMatrix
-denseToCsr(const DenseMatrix &m)
+std::optional<CsrMatrix>
+denseToCsrAtMost(const DenseMatrix &m, EdgeId max_nnz)
 {
     CsrMatrix out;
     out.numRows = static_cast<NodeId>(m.rows());
     out.numCols = static_cast<NodeId>(m.cols());
     out.rowPtr.assign(m.rows() + 1, 0);
-    const size_t nnz = m.countNonZeros();
-    out.colIdx.reserve(nnz);
-    out.values.reserve(nnz);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        for (size_t c = 0; c < m.cols(); ++c) {
-            if (m.at(r, c) != 0.0f) {
-                out.colIdx.push_back(static_cast<NodeId>(c));
-                out.values.push_back(m.at(r, c));
+    KernelRegion region("dense_to_csr");
+
+    // Pass 1 counts each row's non-zeros; a serial prefix sum places
+    // the rows; pass 2 compacts every row straight into its slice.
+    // Rows are disjoint, so the arrays are the same bytes however the
+    // row range is split.
+    const size_t cols = m.cols();
+    constexpr size_t kMinRows = 64;
+    globalPool().parallelFor(0, m.rows(),
+                             [&](int, size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r)
+            out.rowPtr[r + 1] = countNonZeros(m.row(r), cols);
+    }, kMinRows);
+    for (size_t r = 0; r < m.rows(); ++r)
+        out.rowPtr[r + 1] += out.rowPtr[r];
+    if (out.rowPtr.back() > max_nnz)
+        return std::nullopt;
+
+    out.colIdx.resize(out.rowPtr.back());
+    out.values.resize(out.rowPtr.back());
+    globalPool().parallelFor(0, m.rows(),
+                             [&](int, size_t r0, size_t r1) {
+        std::vector<uint32_t> idx(cols);
+        for (size_t r = r0; r < r1; ++r) {
+            const float *row = m.row(r);
+            const size_t nnz = compactNonZeros(row, cols, idx.data());
+            NodeId *col = out.colIdx.data() + out.rowPtr[r];
+            float *val = out.values.data() + out.rowPtr[r];
+            for (size_t t = 0; t < nnz; ++t) {
+                col[t] = idx[t];
+                val[t] = row[idx[t]];
             }
         }
-        out.rowPtr[r + 1] = out.colIdx.size();
-    }
+    }, kMinRows);
     return out;
+}
+
+CsrMatrix
+denseToCsr(const DenseMatrix &m)
+{
+    return *denseToCsrAtMost(m, std::numeric_limits<EdgeId>::max());
 }
 
 } // namespace igcn

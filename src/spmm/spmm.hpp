@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "graph/csr.hpp"
@@ -192,8 +193,21 @@ DenseMatrix spmmPushColumnWise(const CsrMatrix &a, const DenseMatrix &b,
 DenseMatrix spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
                                  SpmmCounters *counters = nullptr);
 
-/** Convert a dense matrix into CSR form (exact, drops zeros). */
+/**
+ * Convert a dense matrix into CSR form: the entries compactNonZeros
+ * keeps (every value but ±0.0f; NaN and inf kept), row-major, so
+ * sparseTimesDense on the result is bit-identical to gemm on m. A
+ * parallel count-then-fill whose output does not depend on
+ * IGCN_THREADS.
+ */
 CsrMatrix denseToCsr(const DenseMatrix &m);
+
+/**
+ * denseToCsr(m), or nullopt — after only the counting pass — when m
+ * holds more than max_nnz non-zeros.
+ */
+std::optional<CsrMatrix> denseToCsrAtMost(const DenseMatrix &m,
+                                          EdgeId max_nnz);
 
 /**
  * C = X * W for CSR features X (rows x k) and dense W (k x n): the

@@ -207,6 +207,27 @@ TEST(LintCscInvalidate, InvalidateCallAndFreshLocalsAreClean)
                     .empty());
 }
 
+TEST(LintCscInvalidate, FlagsDenseFeatureMutationsWithoutInvalidate)
+{
+    const auto diags = lintFixture("csc_invalidate_dense_bad.cpp",
+                                   "tools/fixture.cpp");
+    ASSERT_EQ(diags.size(), 4u);
+    EXPECT_EQ(diags[0].str(),
+              "tools/fixture.cpp:9: [csc-invalidate] mutation of "
+              "'x.dense' without 'x.invalidateRowsCsr()' in this "
+              "file; the cached CSR adjunct would go stale");
+    EXPECT_EQ(diags[1].line, 10u);
+    EXPECT_EQ(diags[2].line, 16u);
+    EXPECT_EQ(diags[3].line, 17u);
+}
+
+TEST(LintCscInvalidate, DenseInvalidateCallFreshLocalsAndReadsAreClean)
+{
+    EXPECT_TRUE(lintFixture("csc_invalidate_dense_good.cpp",
+                            "tools/fixture.cpp")
+                    .empty());
+}
+
 TEST(LintCscInvalidate, Suppressible)
 {
     EXPECT_TRUE(lintFixture("csc_invalidate_suppressed.cpp",

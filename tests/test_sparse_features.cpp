@@ -15,12 +15,19 @@
  *  (c) every sparse kernel is bit-identical at IGCN_THREADS 1/4/8;
  *  (d) sparseTimesDense reports the same arithmetic Table-1 access
  *      profile as the dense-path CSR kernel (spmmPullRowWise) on the
- *      same logical matrix.
+ *      same logical matrix;
+ *  (e) denseToCsr emits exactly the entries gemm treats as non-zero
+ *      (±0 dropped, NaN and inf kept) at any IGCN_THREADS, and dense
+ *      Features routed through their CSR adjunct stay memcmp-equal
+ *      to gemm / gemmTransposeA on both sides of the adjunct's
+ *      density gate.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "gcn/reference.hpp"
@@ -33,9 +40,11 @@ namespace {
 bool
 bitEqual(const DenseMatrix &a, const DenseMatrix &b)
 {
+    // memcmp on an empty matrix would be handed a null pointer.
     return a.rows() == b.rows() && a.cols() == b.cols() &&
-           std::memcmp(a.data().data(), b.data().data(),
-                       a.data().size() * sizeof(float)) == 0;
+           (a.data().empty() ||
+            std::memcmp(a.data().data(), b.data().data(),
+                        a.data().size() * sizeof(float)) == 0);
 }
 
 DenseMatrix
@@ -48,6 +57,73 @@ denseAtDensity(size_t rows, size_t cols, double density, uint64_t seed)
     else if (density > 0.0)
         m.fillRandomSparse(rng, density, 1.0f);
     return m;
+}
+
+/** Byte equality of two CSR matrices (NaN values compare equal). */
+bool
+sameCsrBytes(const CsrMatrix &a, const CsrMatrix &b)
+{
+    return a.numRows == b.numRows && a.numCols == b.numCols &&
+           a.rowPtr == b.rowPtr && a.colIdx == b.colIdx &&
+           a.values.size() == b.values.size() &&
+           (a.values.empty() ||
+            std::memcmp(a.values.data(), b.values.data(),
+                        a.values.size() * sizeof(float)) == 0);
+}
+
+/**
+ * Serial reference conversion pinning denseToCsr's output bytes:
+ * every entry comparing != 0.0f, row-major.
+ */
+CsrMatrix
+serialDenseToCsr(const DenseMatrix &m)
+{
+    CsrMatrix out;
+    out.numRows = static_cast<NodeId>(m.rows());
+    out.numCols = static_cast<NodeId>(m.cols());
+    out.rowPtr.assign(m.rows() + 1, 0);
+    for (size_t r = 0; r < m.rows(); ++r) {
+        for (size_t c = 0; c < m.cols(); ++c) {
+            if (m.at(r, c) != 0.0f) {
+                out.colIdx.push_back(static_cast<NodeId>(c));
+                out.values.push_back(m.at(r, c));
+            }
+        }
+        out.rowPtr[r + 1] = out.colIdx.size();
+    }
+    return out;
+}
+
+/**
+ * Differential inputs: random matrices at densities 0.01, 0.1, 0.3
+ * and 1.0 (both sides of the feature adjunct's nnz <= cells / 4
+ * gate); a sparse matrix salted with -0.0, NaN and ±inf around
+ * all-zero rows; and a zero-row matrix.
+ */
+std::vector<DenseMatrix>
+differentialInputs()
+{
+    std::vector<DenseMatrix> out;
+    for (double density : {0.01, 0.1, 0.3, 1.0})
+        out.push_back(denseAtDensity(97, 130, density, 61));
+
+    DenseMatrix specials = denseAtDensity(97, 130, 0.05, 67);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (size_t r : {0u, 40u, 96u}) // all-zero rows, ends included
+        std::fill(specials.row(r), specials.row(r) + 130, 0.0f);
+    specials.at(1, 0) = -0.0f;
+    specials.at(1, 129) = nan;
+    specials.at(5, 7) = inf;
+    specials.at(9, 3) = -inf;
+    specials.at(12, 12) = -0.0f;
+    specials.at(12, 13) = +0.0f;
+    specials.at(50, 64) = nan;
+    specials.at(51, 64) = -inf;
+    out.push_back(std::move(specials));
+
+    out.emplace_back(0, 130);
+    return out;
 }
 
 TEST(CsrMatrix, FromArraysValidatesInvariants)
@@ -257,6 +333,111 @@ TEST(SparseKernels, CountersMatchDensePathAccountingModel)
     EXPECT_EQ(sparse_cnt.macOps, dense_path_cnt.macOps);
     EXPECT_EQ(sparse_cnt.cStreamedWrites,
               dense_path_cnt.cStreamedWrites);
+}
+
+TEST(DenseToCsr, OutputPinnedToSerialConversionAtAnyThreadCount)
+{
+    for (int threads : {1, 4}) {
+        setGlobalThreads(threads);
+        size_t i = 0;
+        for (const DenseMatrix &m : differentialInputs())
+            EXPECT_TRUE(sameCsrBytes(denseToCsr(m), serialDenseToCsr(m)))
+                << "input " << i++ << ", " << threads << " threads";
+    }
+    setGlobalThreads(0);
+}
+
+TEST(FeatureAdjunct, DenseFeaturesMemcmpEqualGemmOnBothSidesOfTheGate)
+{
+    // The routing claim: dense Features take the sparse kernels
+    // through their CSR adjunct under the gate and gemm above it, and
+    // either way produce gemm's / gemmTransposeA's exact bytes, special
+    // values and degenerate shapes included, at 1 and 4 threads.
+    const std::vector<DenseMatrix> inputs = differentialInputs();
+    // density 0.01, 0.1, 0.3, 1.0, specials, zero rows
+    const bool under_gate[] = {true, true, false, false, true, true};
+    ASSERT_EQ(inputs.size(), std::size(under_gate));
+    Rng rng(71);
+    DenseMatrix w(130, 16);
+    w.fillRandom(rng, 1.0f);
+    for (int threads : {1, 4}) {
+        setGlobalThreads(threads);
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            const DenseMatrix &m = inputs[i];
+            Features x;
+            x.dense = m;
+            EXPECT_EQ(x.rowsCsr() != nullptr, under_gate[i])
+                << "input " << i;
+            DenseMatrix b(m.rows(), 16);
+            b.fillRandom(rng, 1.0f);
+            EXPECT_TRUE(bitEqual(featuresTimesDense(x, w), gemm(m, w)))
+                << "input " << i << ", " << threads << " threads";
+            EXPECT_TRUE(bitEqual(featuresTransposeTimesDense(x, b),
+                                 gemmTransposeA(m, b)))
+                << "input " << i << ", " << threads << " threads";
+        }
+    }
+    setGlobalThreads(0);
+}
+
+TEST(FeatureAdjunct, FollowsLazyAdjunctRules)
+{
+    const DenseMatrix d = denseAtDensity(40, 30, 0.05, 53);
+    Features x;
+    x.dense = d;
+    const CsrMatrix *built = x.rowsCsr();
+    ASSERT_NE(built, nullptr);
+    EXPECT_EQ(x.rowsCsr(), built); // cached, not rebuilt
+    EXPECT_TRUE(sameCsrBytes(*built, denseToCsr(d)));
+
+    // A copy starts empty: it builds its own, identical image.
+    Features copy = x;
+    const CsrMatrix *copied = copy.rowsCsr();
+    EXPECT_NE(copied, built);
+    EXPECT_TRUE(sameCsrBytes(*copied, *built));
+
+    // A move transfers the built value.
+    Features moved = std::move(x);
+    EXPECT_EQ(moved.rowsCsr(), built);
+
+    // Copy-assignment drops the target's built value, so the target
+    // never serves the image of the matrix it no longer holds.
+    const DenseMatrix other = denseAtDensity(40, 30, 0.05, 59);
+    Features target;
+    target.dense = other;
+    ASSERT_NE(target.rowsCsr(), nullptr);
+    target = moved;
+    EXPECT_TRUE(sameCsrBytes(*target.rowsCsr(), *built));
+
+    // invalidateRowsCsr() after mutating `dense` rebuilds from it.
+    target.dense = other;
+    target.invalidateRowsCsr();
+    EXPECT_TRUE(sameCsrBytes(*target.rowsCsr(), denseToCsr(other)));
+
+    // CSR features answer with their own matrix, whatever its density.
+    Features csr;
+    csr.sparse = true;
+    csr.csr = denseToCsr(denseAtDensity(40, 30, 1.0, 61));
+    EXPECT_EQ(csr.rowsCsr(), &csr.csr);
+}
+
+TEST(FeatureAdjunct, ConcurrentFirstCallersSeeOneObject)
+{
+    // Under and above the gate: every racing first caller gets the
+    // same adjunct (or the same nullptr), built once.
+    for (double density : {0.05, 0.5}) {
+        Features x;
+        x.dense = denseAtDensity(300, 200, density, 73);
+        std::vector<const CsrMatrix *> seen(4, nullptr);
+        std::vector<std::thread> callers;
+        for (size_t t = 0; t < seen.size(); ++t)
+            callers.emplace_back([&, t] { seen[t] = x.rowsCsr(); });
+        for (std::thread &c : callers)
+            c.join();
+        for (const CsrMatrix *p : seen)
+            EXPECT_EQ(p, x.rowsCsr()) << "density " << density;
+        EXPECT_EQ(x.rowsCsr() != nullptr, density < 0.25);
+    }
 }
 
 TEST(CsrMatrix, CscCacheFollowsLazyAdjunctRules)

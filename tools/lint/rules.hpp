@@ -31,8 +31,13 @@
  *                         without calling invalidateCsc() on that
  *                         same object anywhere in the file: the
  *                         cached CSC adjunct would silently serve
- *                         stale non-zeros. Objects value-declared in
- *                         the same file (`CsrGraph g;` — fresh, no
+ *                         stale non-zeros. Likewise a Features'
+ *                         `dense` member (`x.dense = `,
+ *                         `x.dense.fillRandom(`, `x.dense.at(r, c) =
+ *                         `, ...) without invalidateRowsCsr(): the
+ *                         cached CSR adjunct would go stale. Objects
+ *                         value-declared in the same file
+ *                         (`CsrGraph g;`, `Features x;` — fresh, no
  *                         cache to stale) are exempt; mutation
  *                         through a reference is not, and carries an
  *                         explicit allow() when it is provably fresh.
@@ -309,6 +314,8 @@ lintText(const std::string &rel_path, const std::string &text)
         R"(\b(?:from|with|submit)[A-Z]\w*\s*\()");
     static const std::regex re_mutation(
         R"((\w+)\.(rowPtr|colIdx|values)\s*(?:=[^=]|\.\s*(?:push_back|emplace_back|resize|clear|assign|insert|erase|swap|pop_back)\s*\())");
+    static const std::regex re_dense_mutation(
+        R"((\w+)\.(dense)\s*(?:=[^=]|\.\s*(?:zero|fillRandom|fillRandomSparse)\s*\(|\.\s*(?:at|row|data)\s*\([^)]*\)\s*(?:\[[^\]]*\]\s*)?[-+*/]?=[^=]))");
     static const std::regex re_double_decl(
         R"(^\s*(?:const\s+)?double\s+\w+\s*[={])");
     static const std::regex re_for_loop(R"(\b(?:for|while)\s*\()");
@@ -320,22 +327,23 @@ lintText(const std::string &rel_path, const std::string &text)
     std::vector<std::string> unordered_names;
 
     // csc-invalidate bookkeeping: every `obj.member` mutation site,
-    // reported at end of file unless `obj.invalidateCsc()` appears
+    // reported at end of file unless `obj.<invalidator>()` appears
     // somewhere in the same file.
     struct Mutation
     {
         size_t idx;
         std::string object;
         std::string member;
+        std::string invalidator;
     };
     std::vector<Mutation> pending_mutations;
-    std::vector<std::string> invalidated_objects;
+    std::vector<std::string> invalidated_calls; // "obj.invalidator".
     // Objects value-declared in this file (`CsrGraph g;`): freshly
     // constructed, their cache has never been populated, so raw-array
     // writes during factory assembly cannot stale anything.
     std::vector<std::string> fresh_locals;
     static const std::regex re_fresh_decl(
-        R"(^\s*(?:igcn::)?Csr\w+\s+(\w+)\s*[;={])");
+        R"(^\s*(?:igcn::)?(?:Csr\w+|Features)\s+(\w+)\s*[;={])");
     int brace_depth = 0;
     int loop_depth_floor = -1; // brace depth where a loop body began
 
@@ -440,12 +448,17 @@ lintText(const std::string &rel_path, const std::string &text)
         if (std::regex_search(line, m, re_fresh_decl))
             fresh_locals.push_back(m[1].str());
         if (std::regex_search(line, m, re_mutation))
-            pending_mutations.push_back({i, m[1].str(), m[2].str()});
+            pending_mutations.push_back(
+                {i, m[1].str(), m[2].str(), "invalidateCsc"});
+        if (std::regex_search(line, m, re_dense_mutation))
+            pending_mutations.push_back(
+                {i, m[1].str(), m[2].str(), "invalidateRowsCsr"});
         std::smatch inv;
         static const std::regex re_invalidate(
-            R"((\w+)\.invalidateCsc\s*\()");
+            R"((\w+)\.(invalidateCsc|invalidateRowsCsr)\s*\()");
         if (std::regex_search(line, inv, re_invalidate))
-            invalidated_objects.push_back(inv[1].str());
+            invalidated_calls.push_back(inv[1].str() + "." +
+                                        inv[2].str());
 
         const bool opens_loop = std::regex_search(line, re_for_loop);
         for (const char c : line) {
@@ -464,19 +477,21 @@ lintText(const std::string &rel_path, const std::string &text)
     }
 
     for (const Mutation &mu : pending_mutations) {
+        const std::string call = mu.object + "." + mu.invalidator;
         const bool invalidated =
-            std::find(invalidated_objects.begin(),
-                      invalidated_objects.end(),
-                      mu.object) != invalidated_objects.end();
+            std::find(invalidated_calls.begin(),
+                      invalidated_calls.end(),
+                      call) != invalidated_calls.end();
         const bool fresh =
             std::find(fresh_locals.begin(), fresh_locals.end(),
                       mu.object) != fresh_locals.end();
         if (!invalidated && !fresh)
             report(mu.idx, "csc-invalidate",
                    "mutation of '" + mu.object + "." + mu.member +
-                       "' without '" + mu.object +
-                       ".invalidateCsc()' in this file; the cached "
-                       "CSC adjunct would go stale");
+                       "' without '" + call +
+                       "()' in this file; the cached " +
+                       (mu.member == "dense" ? "CSR" : "CSC") +
+                       " adjunct would go stale");
     }
 
     std::stable_sort(diags.begin(), diags.end(),
