@@ -89,7 +89,7 @@ BM_SpmmPullRowWise(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * a.nnz() *
                             state.range(0));
 }
-BENCHMARK(BM_SpmmPullRowWise)->Arg(16)->Arg(64);
+BENCHMARK(BM_SpmmPullRowWise)->Arg(3)->Arg(16)->Arg(64);
 
 void
 BM_SpmmPushOuterProduct(benchmark::State &state)
@@ -397,7 +397,7 @@ BM_IslandPlanReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             (g.numEdges() + g.numNodes()) * channels);
 }
-BENCHMARK(BM_IslandPlanReplay)->Arg(16)->Arg(64);
+BENCHMARK(BM_IslandPlanReplay)->Arg(3)->Arg(16)->Arg(64);
 
 /** Pubmed surrogate served as the end-to-end benchmark serves it. */
 struct ServeBench

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "runtime/thread_pool.hpp"
+#include "spmm/row_block.hpp"
 
 namespace igcn {
 
@@ -637,53 +638,52 @@ replayIslandPlan(const IslandPlan &plan, const DenseMatrix &y,
 
     // Pre-aggregation: the group sums subtract-mode windows consume
     // (computed at the tail of the combination phase in hardware).
+    // Both passes build each row in registers, one column block at a
+    // time, from +0.0f in op order (spmm/row_block.hpp).
     DenseMatrix presum(num_groups, channels);
     pool.parallelFor(0, num_groups, [&](int, size_t lo, size_t hi) {
         for (size_t grp = lo; grp < hi; ++grp) {
-            float *dst = presum.row(grp);
-            for (uint32_t e = plan.groupBegin[grp];
-                 e < plan.groupBegin[grp + 1]; ++e) {
-                const float *src = y.row(plan.groupCols[e]);
-                for (size_t ch = 0; ch < channels; ++ch)
-                    dst[ch] += src[ch];
-            }
+            const uint32_t e0 = plan.groupBegin[grp];
+            const uint32_t e1 = plan.groupBegin[grp + 1];
+            detail::accumulateRow(channels, presum.row(grp),
+                                  [&](auto &acc, size_t j) {
+                using Block = std::remove_reference_t<decltype(acc)>;
+                for (uint32_t e = e0; e < e1; ++e)
+                    acc.add(Block::at(y.row(plan.groupCols[e]) + j));
+            });
         }
     }, /*min_per_worker=*/64);
 
     // Every output row has one owner and a fixed op order, so the
     // result does not depend on the worker count. A hub row sums its
-    // islands' partials straight into the zeroed row, which is
-    // bit-equal to adding one zero-started partial to it: a sum
-    // started at +0.0f is never -0.0f, and 0.0f + x == x otherwise.
+    // islands' partials straight into its +0.0f-started blocks, which
+    // is bit-equal to adding one zero-started partial to a zeroed
+    // row: a sum started at +0.0f is never -0.0f, and 0.0f + x == x
+    // otherwise.
     DenseMatrix z(plan.numNodes, channels);
     pool.parallelFor(0, plan.numNodes, [&](int, size_t lo, size_t hi) {
         for (size_t v = lo; v < hi; ++v) {
-            float *out = z.row(v);
-            for (EdgeId e = plan.opBegin[v]; e < plan.opBegin[v + 1];
-                 ++e) {
-                const uint32_t op = plan.ops[e];
-                const uint32_t idx = op & IslandPlan::kIndexMask;
-                switch (op >> IslandPlan::kKindShift) {
-                  case IslandPlan::kAddRow: {
-                    const float *src = y.row(idx);
-                    for (size_t ch = 0; ch < channels; ++ch)
-                        out[ch] += src[ch];
-                    break;
-                  }
-                  case IslandPlan::kSubRow: {
-                    const float *src = y.row(idx);
-                    for (size_t ch = 0; ch < channels; ++ch)
-                        out[ch] -= src[ch];
-                    break;
-                  }
-                  default: {
-                    const float *src = presum.row(idx);
-                    for (size_t ch = 0; ch < channels; ++ch)
-                        out[ch] += src[ch];
-                    break;
-                  }
+            const EdgeId e0 = plan.opBegin[v];
+            const EdgeId e1 = plan.opBegin[v + 1];
+            detail::accumulateRow(channels, z.row(v),
+                                  [&](auto &acc, size_t j) {
+                using Block = std::remove_reference_t<decltype(acc)>;
+                for (EdgeId e = e0; e < e1; ++e) {
+                    const uint32_t op = plan.ops[e];
+                    const uint32_t idx = op & IslandPlan::kIndexMask;
+                    switch (op >> IslandPlan::kKindShift) {
+                      case IslandPlan::kAddRow:
+                        acc.add(Block::at(y.row(idx) + j));
+                        break;
+                      case IslandPlan::kSubRow:
+                        acc.sub(Block::at(y.row(idx) + j));
+                        break;
+                      default:
+                        acc.add(Block::at(presum.row(idx) + j));
+                        break;
+                    }
                 }
-            }
+            });
         }
     }, /*min_per_worker=*/64);
 

@@ -36,11 +36,14 @@ struct Features
     /**
      * The adjunct gate: a dense X gets a CSR image only while
      * nnz <= rows * cols / kAdjunctMinSparsity. Measured at the
-     * Pubmed shape (19717 x 500, 16 channels, 4 vCPUs): the sparse
-     * kernels win ~2x at density 0.1, break about even for X W at
-     * 0.3, and lose ~1.8x at 1.0, where the CSR would also take
-     * twice the dense array's memory. A property of the matrix, not
-     * a tuning knob.
+     * Pubmed shape (19717 x 500, 16 channels, 4 vCPUs, at 1 / 4
+     * threads), the sparse kernels beat gemm and gemmTransposeA at
+     * every density tried: X W by ~5x / ~3.4x at density 0.1, ~2.8x
+     * / ~2.1x at 0.3 and ~3x / ~2x at 1.0; X^T dU by ~3.7x / ~3.9x,
+     * ~1.7x / ~2.3x and ~1.7x / ~2.3x. So the gate bounds memory:
+     * under it the CSR takes at most half the dense array's bytes,
+     * at density 1.0 twice. A property of the matrix, not a tuning
+     * knob.
      */
     static constexpr EdgeId kAdjunctMinSparsity = 4;
 

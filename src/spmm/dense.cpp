@@ -4,11 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
-#include <type_traits>
 
 #include "runtime/thread_pool.hpp"
+#include "spmm/row_block.hpp"
 
 namespace igcn {
 
@@ -91,123 +90,6 @@ countNonZeros(const float *a, size_t len)
     return nnz;
 }
 
-namespace {
-
-/**
- * Four float lanes (GCC/Clang vector extension: SSE2 on x86-64, plain
- * scalar code elsewhere). Lane-wise + and * round exactly as the
- * scalar operations do, and each lane is its own output column. An
- * explicit type, not an auto-vectorized float loop: GCC's -O3
- * unroll-and-jam turns a 32-wide scalar block into a scalar
- * store-reload loop several times slower.
- */
-typedef float Lanes __attribute__((vector_size(4 * sizeof(float))));
-constexpr size_t kLanes = 4;
-
-/**
- * kW adjacent columns held in registers: kW / 4 Lanes when kW is a
- * multiple of four, else kW scalars.
- */
-template <size_t kW>
-struct ColumnBlock
-{
-    using Elem = std::conditional_t<kW % kLanes == 0, Lanes, float>;
-    static constexpr size_t kStride = sizeof(Elem) / sizeof(float);
-    static constexpr size_t kElems = kW / kStride;
-
-    Elem v[kElems] = {};
-
-    void load(const float *p)
-    {
-        for (size_t q = 0; q < kElems; ++q)
-            std::memcpy(&v[q], p + q * kStride, sizeof(Elem));
-    }
-
-    void store(float *p) const
-    {
-        for (size_t q = 0; q < kElems; ++q)
-            std::memcpy(p + q * kStride, &v[q], sizeof(Elem));
-    }
-
-    /** this += s * x: one rounded product and one rounded sum per
-     *  column, as in the scalar `c += s * x`. */
-    void addScaled(float s, const ColumnBlock &x)
-    {
-        const Elem sv = broadcast(s);
-        for (size_t q = 0; q < kElems; ++q)
-            v[q] += sv * x.v[q];
-    }
-
-    static Elem broadcast(float s)
-    {
-        if constexpr (kStride == 1)
-            return s;
-        else
-            return Elem{s, s, s, s};
-    }
-};
-
-/**
- * Calls f(std::integral_constant<size_t, W>{}, j) for consecutive
- * column blocks [j, j + W) that cover [0, n): 32 wide, then 16, 8 and
- * 4 wide, then one scalar block for the last 1-3 columns. A fixed
- * width lets a block live in registers; the lanes are independent
- * output columns, so no accumulation chain is split or reordered.
- */
-template <typename F>
-void
-forColumnBlocks(size_t n, F &&f)
-{
-    size_t j = 0;
-    for (; j + 32 <= n; j += 32)
-        f(std::integral_constant<size_t, 32>{}, j);
-    auto step = [&](auto width) {
-        if (j + width <= n) {
-            f(width, j);
-            j += width;
-        }
-    };
-    step(std::integral_constant<size_t, 16>{});
-    step(std::integral_constant<size_t, 8>{});
-    step(std::integral_constant<size_t, 4>{});
-    switch (n - j) {
-    case 3:
-        f(std::integral_constant<size_t, 3>{}, j);
-        break;
-    case 2:
-        f(std::integral_constant<size_t, 2>{}, j);
-        break;
-    case 1:
-        f(std::integral_constant<size_t, 1>{}, j);
-        break;
-    default:
-        break;
-    }
-}
-
-/**
- * crow[j] = sum over t ascending of arow[idx[t]] * b(idx[t], j), from
- * +0.0f, for j in [0, b.cols()). Each column block accumulates in
- * registers and is stored once.
- */
-void
-combineRow(const float *arow, const uint32_t *idx, size_t nnz,
-           const DenseMatrix &b, float *crow)
-{
-    forColumnBlocks(b.cols(), [&](auto width, size_t j) {
-        using Block = ColumnBlock<decltype(width)::value>;
-        Block acc;
-        for (size_t t = 0; t < nnz; ++t) {
-            Block brow;
-            brow.load(b.row(idx[t]) + j);
-            acc.addScaled(arow[idx[t]], brow);
-        }
-        acc.store(crow + j);
-    });
-}
-
-} // namespace
-
 DenseMatrix
 gemm(const DenseMatrix &a, const DenseMatrix &b)
 {
@@ -222,9 +104,12 @@ gemm(const DenseMatrix &a, const DenseMatrix &b)
                              [&](int, size_t i0, size_t i1) {
         std::vector<uint32_t> idx(a.cols());
         for (size_t i = i0; i < i1; ++i) {
+            const float *arow = a.row(i);
             const size_t nnz =
-                compactNonZeros(a.row(i), a.cols(), idx.data());
-            combineRow(a.row(i), idx.data(), nnz, b, c.row(i));
+                compactNonZeros(arow, a.cols(), idx.data());
+            detail::weightedRowSum(
+                b.cols(), nnz, [&](size_t t) { return arow[idx[t]]; },
+                [&](size_t t) { return b.row(idx[t]); }, c.row(i));
         }
     }, /*min_per_worker=*/8);
     return c;
@@ -253,14 +138,12 @@ gemmTransposeA(const DenseMatrix &a, const DenseMatrix &b)
             const float *arow = a.row(r) + i0;
             const size_t nnz =
                 compactNonZeros(arow, i1 - i0, idx.data());
-            forColumnBlocks(n, [&](auto width, size_t j) {
-                using Block = ColumnBlock<decltype(width)::value>;
-                Block brow;
-                brow.load(b.row(r) + j);
+            detail::forColumnBlocks(n, [&](auto width, size_t j) {
+                using Block = detail::ColumnBlock<decltype(width)::value>;
+                const Block brow = Block::at(b.row(r) + j);
                 for (size_t t = 0; t < nnz; ++t) {
                     float *crow = slice.data() + idx[t] * n + j;
-                    Block acc;
-                    acc.load(crow);
+                    Block acc = Block::at(crow);
                     acc.addScaled(arow[idx[t]], brow);
                     acc.store(crow);
                 }
@@ -278,20 +161,22 @@ gemmTransposeB(const DenseMatrix &a, const DenseMatrix &b)
         throw std::invalid_argument("shape mismatch in gemmTransposeB");
     DenseMatrix c(a.rows(), b.rows());
 
-    // A * B^T is gemm against B^T with every k kept: the index list
-    // is 0..k-1, and no term is skipped.
+    // A * B^T is gemm against B^T with every k kept: no term is
+    // skipped.
     DenseMatrix bt(b.cols(), b.rows());
     for (size_t j = 0; j < b.rows(); ++j)
         for (size_t k = 0; k < b.cols(); ++k)
             bt.at(k, j) = b.at(j, k);
-    std::vector<uint32_t> all(a.cols());
-    std::iota(all.begin(), all.end(), uint32_t{0});
 
     KernelRegion region("gemm_a_bt");
     globalPool().parallelFor(0, a.rows(),
                              [&](int, size_t r0, size_t r1) {
-        for (size_t i = r0; i < r1; ++i)
-            combineRow(a.row(i), all.data(), all.size(), bt, c.row(i));
+        for (size_t i = r0; i < r1; ++i) {
+            const float *arow = a.row(i);
+            detail::weightedRowSum(
+                bt.cols(), a.cols(), [&](size_t t) { return arow[t]; },
+                [&](size_t t) { return bt.row(t); }, c.row(i));
+        }
     }, /*min_per_worker=*/8);
     return c;
 }

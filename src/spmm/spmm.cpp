@@ -1,11 +1,11 @@
 #include "spmm/spmm.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "runtime/thread_pool.hpp"
+#include "spmm/row_block.hpp"
 
 namespace igcn {
 
@@ -119,15 +119,15 @@ checkShapes(const CsrMatrix &a, const DenseMatrix &b)
 }
 
 /**
- * Race-free row gather C += M * B over a compressed row index
+ * Race-free row gather C = M * B over a compressed row index
  * (ptr, idx, val) — either a matrix's own CSR arrays or its CSC
  * adjunct (which gathers the transpose). Output rows are sharded
  * across workers, so every row of C is written by exactly one worker
- * with no speculation buffers; channels are tiled so each
- * irregularly-fetched B row contributes one kChannelTile-float slice
- * per pass. Per output element the entries accumulate in index order
- * regardless of the split or tiling, so the result is bit-identical
- * at any thread count.
+ * with no speculation buffers. Each row is one weightedRowSum
+ * (spmm/row_block.hpp): per register-held column block it starts at
+ * +0.0f, adds the row's entries in index order and is stored once,
+ * so every output element keeps its sequential chain and the result
+ * is bit-identical at any thread count.
  *
  * kRowList: output row i gathers index row rows[i] (not row i), and
  * rows with skip[i] != 0 (when skip is non-null) are left untouched.
@@ -145,32 +145,28 @@ gatherTiled(const std::vector<EdgeId> &ptr,
             const NodeId *col_map = nullptr,
             const uint8_t *skip = nullptr)
 {
-    const size_t channels = b.cols();
-    constexpr size_t kChannelTile = 64;
     // Attribute the region to the calling dataflow's label when one
     // is active; only bare gather calls show up as "gather_tiled".
     KernelRegion region(currentKernelLabel() ? currentKernelLabel()
                                              : "gather_tiled");
     globalPool().parallelFor(0, c.rows(),
                              [&](int, size_t r0, size_t r1) {
-        for (size_t ch0 = 0; ch0 < channels; ch0 += kChannelTile) {
-            const size_t ch1 = std::min(channels, ch0 + kChannelTile);
-            for (size_t i = r0; i < r1; ++i) {
-                size_t r = i;
-                if constexpr (kRowList) {
-                    if (skip && skip[i])
-                        continue;
-                    r = rows[i];
-                }
-                float *crow = c.row(i);
-                for (EdgeId e = ptr[r]; e < ptr[r + 1]; ++e) {
-                    const float v = val[e];
-                    const float *brow =
-                        b.row(kColMap ? col_map[idx[e]] : idx[e]);
-                    for (size_t ch = ch0; ch < ch1; ++ch)
-                        crow[ch] += v * brow[ch];
-                }
+        for (size_t i = r0; i < r1; ++i) {
+            size_t r = i;
+            if constexpr (kRowList) {
+                if (skip && skip[i])
+                    continue;
+                r = rows[i];
             }
+            const EdgeId e0 = ptr[r];
+            detail::weightedRowSum(
+                b.cols(), ptr[r + 1] - e0,
+                [&](size_t t) { return val[e0 + t]; },
+                [&](size_t t) {
+                    const NodeId k = idx[e0 + t];
+                    return b.row(kColMap ? col_map[k] : k);
+                },
+                c.row(i));
         }
     }, /*min_per_worker=*/16);
 }
@@ -207,10 +203,9 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
     KernelRegion region("spmm_pull_row_wise");
 
     // Rows of C are independent: shard the row range across workers
-    // (gatherTiled), channel-tiled so far more distinct B rows stay
-    // resident in L1/L2 across the edges of a row block. Per output
-    // element the edge accumulation order is unchanged, so the result
-    // is bit-identical at any thread count.
+    // (gatherTiled), each row built in registers and stored once. Per
+    // output element the edge accumulation order is unchanged, so the
+    // result is bit-identical at any thread count.
     gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
 
     addPullRowWiseCounters(a, channels, counters);

@@ -152,11 +152,11 @@ DenseMatrix spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
  * b_row_of may hold anything there.
  *
  * Rows i with skip[i] != 0 (skip empty = none) are left exactly as
- * the caller pre-filled them; every other row of c must arrive
- * zeroed. Entries are summed in the same order, with the same
- * channel tiling and one owner per row, as spmmPullRowWise, so an
- * output row is bit-identical to row rows[i] of spmmPullRowWise(a,
- * B') where B' row j = b row b_row_of[j], at any IGCN_THREADS. The
+ * the caller pre-filled them; every other row of c is overwritten.
+ * Entries are summed in the same order, on the same row kernel and
+ * with one owner per row, as spmmPullRowWise, so an output row is
+ * bit-identical to row rows[i] of spmmPullRowWise(a, B') where B'
+ * row j = b row b_row_of[j], at any IGCN_THREADS. The
  * serving engine pulls each GCN layer on one frontier this way, and
  * its aggregation cache substitutes skipped rows
  * (serve/agg_cache.hpp).
@@ -212,7 +212,7 @@ std::optional<CsrMatrix> denseToCsrAtMost(const DenseMatrix &m,
 /**
  * C = X * W for CSR features X (rows x k) and dense W (k x n): the
  * sparse first-layer combination kernel. Executes as the same
- * channel-tiled race-free row gather as spmmPullRowWise and reports
+ * race-free row gather as spmmPullRowWise and reports
  * the pull-row-wise Table-1 access profile (aReads = nnz,
  * bIrregularReads = macOps = nnz * n, cStreamedWrites = rows * n) so
  * the accel models account sparse and dense inputs under one model.

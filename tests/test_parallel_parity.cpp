@@ -5,7 +5,8 @@
  * Every kernel that moved onto the thread pool — the four SpMM
  * dataflows and sparseTransposeTimesDense — and the locator's islandize
  * are checked at 1/2/4/8 threads across the four graph families
- * against a sequential reference or a golden result:
+ * against a sequential reference or a golden result, the SpMM kernels
+ * byte for byte at output widths that hit every column-block tail:
  *
  *  - at 1 thread the parallel kernel must be BIT-identical to the
  *    sequential reference (one chunk, one accumulator, same float
@@ -234,9 +235,17 @@ makeOperands(const CsrGraph &g, CsrMatrix &a, DenseMatrix &b,
     for (float &v : a.values)
         v = vrng.nextFloat(2.0f);
     Rng rng(19);
-    // 100 channels spans one full channel tile plus a ragged rest.
     b = DenseMatrix(g.numNodes(), channels);
     b.fillRandom(rng);
+}
+
+/** Same shape and the same bytes (NaN-safe, unlike operator==). */
+bool
+sameBytes(const DenseMatrix &x, const DenseMatrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+        std::memcmp(x.data().data(), y.data().data(),
+                    x.data().size() * sizeof(float)) == 0;
 }
 
 void
@@ -282,12 +291,43 @@ const KernelCase kKernels[] = {
      &seqPushOuterProduct, true},
 };
 
-TEST_F(ParityTest, SpmmDataflowsMatchSequentialAcrossThreads)
+/**
+ * Signed zeros and infinities in B: every third entry is -0.0f, so
+ * many outputs sum nothing but signed-zero products and pin the
+ * +0.0f start of every chain; sparse +inf and -inf entries make
+ * inf and inf - inf sums (the default NaN, whose bits do not depend
+ * on operand order).
+ */
+void
+addSpecialValues(DenseMatrix &b)
 {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    std::vector<float> &v = b.data();
+    for (size_t i = 0; i < v.size(); ++i) {
+        if (i % 3 == 1)
+            v[i] = -0.0f;
+        else if (i % 97 == 5)
+            v[i] = kInf;
+        else if (i % 89 == 7)
+            v[i] = -kInf;
+    }
+}
+
+/** Output width of the row-gather kernels; restores the pool. */
+class SpmmWidthParityTest : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    void TearDown() override { setGlobalThreads(0); }
+};
+
+TEST_P(SpmmWidthParityTest, SpmmDataflowsMatchSequentialAcrossThreads)
+{
+    const size_t width = GetParam();
     for (const FamilyCase &fc : graphFamilies()) {
         CsrMatrix a;
         DenseMatrix b;
-        makeOperands(fc.graph, a, b);
+        makeOperands(fc.graph, a, b, width);
+        addSpecialValues(b);
 
         for (const KernelCase &k : kKernels) {
             const DenseMatrix ref = k.seq(a, b);
@@ -296,58 +336,68 @@ TEST_F(ParityTest, SpmmDataflowsMatchSequentialAcrossThreads)
             SpmmCounters base_cnt;
             const DenseMatrix base = k.fn(a, b, &base_cnt);
             // One thread = one chunk = the sequential float order.
-            EXPECT_EQ(base.data(), ref.data())
-                << k.name << " on " << fc.name << " @ 1 thread";
+            EXPECT_TRUE(sameBytes(base, ref))
+                << k.name << " on " << fc.name << " width " << width
+                << " @ 1 thread";
 
             for (int threads : kThreadCounts) {
                 const std::string ctx = std::string(k.name) + " on " +
-                    fc.name + " @ " + std::to_string(threads) +
-                    " threads";
+                    fc.name + " width " + std::to_string(width) +
+                    " @ " + std::to_string(threads) + " threads";
                 setGlobalThreads(threads);
                 SpmmCounters cnt;
                 const DenseMatrix c = k.fn(a, b, &cnt);
                 if (k.bitExactAcrossThreads)
-                    EXPECT_EQ(c.data(), base.data()) << ctx;
+                    EXPECT_TRUE(sameBytes(c, base)) << ctx;
                 else
                     EXPECT_LE(maxAbsDiff(c, base), kTol) << ctx;
                 expectCountersEqual(cnt, base_cnt, ctx);
                 // Same thread count twice: no scheduling dependence.
                 const DenseMatrix c2 = k.fn(a, b, nullptr);
-                EXPECT_EQ(c2.data(), c.data()) << ctx << " (rerun)";
+                EXPECT_TRUE(sameBytes(c2, c)) << ctx << " (rerun)";
             }
         }
     }
 }
 
-TEST_F(ParityTest, SparseTransposeTimesDenseMatchesSequentialAcrossThreads)
+TEST_P(SpmmWidthParityTest,
+       SparseTransposeTimesDenseMatchesSequentialAcrossThreads)
 {
+    const size_t width = GetParam();
     for (const FamilyCase &fc : graphFamilies()) {
         CsrMatrix a;
         DenseMatrix b;
-        makeOperands(fc.graph, a, b);
+        makeOperands(fc.graph, a, b, width);
+        addSpecialValues(b);
         const DenseMatrix ref = seqTransposeTimesDense(a, b);
 
         setGlobalThreads(1);
         const DenseMatrix base = sparseTransposeTimesDense(a, b);
-        EXPECT_EQ(base.data(), ref.data())
-            << fc.name << " @ 1 thread";
+        EXPECT_TRUE(sameBytes(base, ref))
+            << fc.name << " width " << width << " @ 1 thread";
 
         for (int threads : kThreadCounts) {
+            const std::string ctx = fc.name + std::string(" width ") +
+                std::to_string(width) + " @ " +
+                std::to_string(threads) + " threads";
             setGlobalThreads(threads);
+            // Each output row gathers its CSC column in ascending row
+            // order at every thread count.
             const DenseMatrix c = sparseTransposeTimesDense(a, b);
-            // Tolerance-equality required, bit-identity delivered:
-            // each output row gathers its CSC column in ascending
-            // row order at every thread count.
-            EXPECT_LE(maxAbsDiff(c, base), kTol)
-                << fc.name << " @ " << threads << " threads";
-            EXPECT_EQ(c.data(), base.data())
-                << fc.name << " @ " << threads << " threads";
+            EXPECT_TRUE(sameBytes(c, base)) << ctx;
             const DenseMatrix c2 = sparseTransposeTimesDense(a, b);
-            EXPECT_EQ(c2.data(), c.data())
-                << fc.name << " @ " << threads << " threads (rerun)";
+            EXPECT_TRUE(sameBytes(c2, c)) << ctx << " (rerun)";
         }
     }
 }
+
+// Every column-block width (32/16/8/4) alone and in combination, each
+// scalar tail (1-3), and 100 = 32 * 3 + 4.
+INSTANTIATE_TEST_SUITE_P(
+    Widths, SpmmWidthParityTest,
+    ::testing::Values(size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                      size_t{7}, size_t{8}, size_t{16}, size_t{31},
+                      size_t{32}, size_t{33}, size_t{100}));
 
 // ---------------------------------------------------------------------
 // CSC adjunct cache invariants
@@ -709,15 +759,6 @@ scalarGemmTransposeB(const DenseMatrix &a, const DenseMatrix &b)
             c.at(i, j) = acc;
         }
     return c;
-}
-
-/** Same shape and the same bytes (NaN-safe, unlike operator==). */
-bool
-sameBytes(const DenseMatrix &x, const DenseMatrix &y)
-{
-    return x.rows() == y.rows() && x.cols() == y.cols() &&
-        std::memcmp(x.data().data(), y.data().data(),
-                    x.data().size() * sizeof(float)) == 0;
 }
 
 /** (output width n, reduction length k, density of the A operand). */
@@ -1205,7 +1246,7 @@ TEST_F(ParityTest, IslandPlanMatchesSequentialConsumerAcrossThreads)
         for (const PlanConfig &pc : planConfigs()) {
             const std::string cfg_ctx = fc.name + " " + pc.name +
                 " k=" + std::to_string(pc.cfg.k);
-            for (size_t channels : {1, 3, 16, 64}) {
+            for (size_t channels : {1, 3, 7, 16, 64, 100}) {
                 Rng rng(channels * 7 + 1);
                 DenseMatrix y(fc.graph.numNodes(), channels);
                 y.fillRandom(rng);

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
@@ -182,13 +184,12 @@ TEST(Spmm, PullRowsBitEqualsPullRowWiseRows)
     // spmmPullRows must reproduce spmmPullRowWise's rows byte for
     // byte: on an arbitrary row list (unsorted, duplicates), through a
     // column map into a permuted B, and with a skip mask that leaves
-    // pre-filled rows untouched. 70 channels cross the 64-wide tile.
+    // pre-filled rows untouched. 3 channels run on the scalar column
+    // tail alone; 70 = 32 + 32 + 4 + 2 crosses every block kind.
     CsrMatrix a = CsrMatrix::fromGraph(erdosRenyi(300, 6.0, 21));
     Rng rng(9);
     for (float &v : a.values)
         v = rng.nextFloat();
-    DenseMatrix b(a.numCols, 70);
-    b.fillRandom(rng, 1.0f);
     std::vector<NodeId> rows;
     for (int i = 0; i < 90; ++i)
         rows.push_back(static_cast<NodeId>(rng.nextBounded(a.numRows)));
@@ -199,41 +200,51 @@ TEST(Spmm, PullRowsBitEqualsPullRowWiseRows)
     std::iota(perm.begin(), perm.end(), NodeId{0});
     for (size_t i = perm.size() - 1; i > 0; --i)
         std::swap(perm[i], perm[rng.nextBounded(i + 1)]);
-    DenseMatrix permuted(a.numCols, b.cols());
-    for (NodeId j = 0; j < a.numCols; ++j)
-        std::copy_n(b.row(j), b.cols(), permuted.row(perm[j]));
 
     std::vector<uint8_t> skip(rows.size(), 0);
     for (size_t i = 0; i < skip.size(); i += 3)
         skip[i] = 1;
 
-    for (int threads : {1, 4}) {
-        setGlobalThreads(threads);
-        const DenseMatrix full = spmmPullRowWise(a, b);
+    for (size_t width : {size_t{3}, size_t{70}}) {
+        DenseMatrix b(a.numCols, width);
+        b.fillRandom(rng, 1.0f);
+        DenseMatrix permuted(a.numCols, b.cols());
+        for (NodeId j = 0; j < a.numCols; ++j)
+            std::copy_n(b.row(j), b.cols(), permuted.row(perm[j]));
 
-        DenseMatrix c(rows.size(), b.cols());
-        spmmPullRows(a, rows, b, {}, c);
-        DenseMatrix mapped(rows.size(), b.cols());
-        spmmPullRows(a, rows, permuted, perm, mapped);
-        DenseMatrix masked(rows.size(), b.cols());
-        for (size_t i = 0; i < rows.size(); ++i)
-            if (skip[i])
-                std::fill_n(masked.row(i), b.cols(), 7.0f);
-        spmmPullRows(a, rows, permuted, perm, masked, skip);
+        for (int threads : {1, 4}) {
+            setGlobalThreads(threads);
+            const std::string ctx = " width " + std::to_string(width) +
+                " threads " + std::to_string(threads);
+            const DenseMatrix full = spmmPullRowWise(a, b);
 
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const float *want = full.row(rows[i]);
-            EXPECT_TRUE(rowsBitEqual(c.row(i), want, b.cols()))
-                << "row " << i << " threads " << threads;
-            EXPECT_TRUE(rowsBitEqual(mapped.row(i), want, b.cols()))
-                << "mapped row " << i << " threads " << threads;
-            if (skip[i]) {
-                for (size_t ch = 0; ch < b.cols(); ++ch)
-                    ASSERT_EQ(masked.at(i, ch), 7.0f);
-            } else {
-                EXPECT_TRUE(
-                    rowsBitEqual(masked.row(i), want, b.cols()))
-                    << "masked row " << i << " threads " << threads;
+            DenseMatrix c(rows.size(), b.cols());
+            spmmPullRows(a, rows, b, {}, c);
+            // Rows that are not skipped are overwritten: stale NaNs
+            // in the output must not reach the result.
+            DenseMatrix mapped(rows.size(), b.cols(),
+                               std::numeric_limits<float>::quiet_NaN());
+            spmmPullRows(a, rows, permuted, perm, mapped);
+            DenseMatrix masked(rows.size(), b.cols());
+            for (size_t i = 0; i < rows.size(); ++i)
+                if (skip[i])
+                    std::fill_n(masked.row(i), b.cols(), 7.0f);
+            spmmPullRows(a, rows, permuted, perm, masked, skip);
+
+            for (size_t i = 0; i < rows.size(); ++i) {
+                const float *want = full.row(rows[i]);
+                EXPECT_TRUE(rowsBitEqual(c.row(i), want, b.cols()))
+                    << "row " << i << ctx;
+                EXPECT_TRUE(rowsBitEqual(mapped.row(i), want, b.cols()))
+                    << "mapped row " << i << ctx;
+                if (skip[i]) {
+                    for (size_t ch = 0; ch < b.cols(); ++ch)
+                        ASSERT_EQ(masked.at(i, ch), 7.0f) << ctx;
+                } else {
+                    EXPECT_TRUE(
+                        rowsBitEqual(masked.row(i), want, b.cols()))
+                        << "masked row " << i << ctx;
+                }
             }
         }
     }
