@@ -407,6 +407,8 @@ struct ServeBench
     std::vector<DenseMatrix> weights;
     /** 16 targets of a default (hot-set) trace, in arrival order. */
     std::vector<serve::Request> batch;
+    /** 16 targets drawn Zipf(1.1) by degree rank (hub frontiers). */
+    std::vector<serve::Request> zipfBatch;
 
     ServeBench()
     {
@@ -415,13 +417,23 @@ struct ServeBench
                          data.info.featureDensity, rng);
         weights = makeWeights(
             modelConfig(Model::GCN, NetConfig::Algo, data.info), rng);
+        batch = targets(0.0);
+        zipfBatch = targets(1.1);
+    }
+
+    std::vector<serve::Request>
+    targets(double zipf_alpha) const
+    {
         serve::TraceConfig tc;
         tc.numInference = 16;
         tc.numUpdates = 0;
+        tc.zipfAlpha = zipf_alpha;
+        std::vector<serve::Request> out;
         for (const serve::Request &r :
              serve::makeSyntheticTrace(data.graph, tc))
             if (r.kind == serve::RequestKind::Inference)
-                batch.push_back(r);
+                out.push_back(r);
+        return out;
     }
 };
 
@@ -454,16 +466,20 @@ BENCHMARK(BM_LHopFrontiers)->Unit(benchmark::kMicrosecond);
 void
 BM_ServeBatch(benchmark::State &state)
 {
-    // One InferenceEngine::runBatch over the same 16 targets: the
-    // frontier BFS and the 2-layer chain, each layer on its own
-    // frontier. Counters: rows and A_hat entries per layer.
+    // One InferenceEngine::runBatch over 16 targets: the frontier BFS
+    // and the 2-layer chain, each layer on its own frontier. Arg 0:
+    // the hot-set batch above; arg 1: the Zipf(1.1) batch, whose hub
+    // targets pull ~6.7k first-layer rows. Counters: rows and A_hat
+    // entries per layer.
     const ServeBench &b = serveBench();
+    const std::vector<serve::Request> &batch =
+        state.range(0) == 0 ? b.batch : b.zipfBatch;
     auto hub = std::make_shared<serve::GraphStateHub>(
         serve::makeGraphState(b.data.graph, LocatorConfig{}));
     serve::InferenceEngine engine(hub, b.x, b.weights);
     serve::BatchExecInfo info;
     for (auto _ : state) {
-        auto results = engine.runBatch(b.batch, &info);
+        auto results = engine.runBatch(batch, &info);
         benchmark::DoNotOptimize(results.data());
     }
     for (size_t l = 0; l < info.layerRows.size(); ++l) {
@@ -474,7 +490,7 @@ BM_ServeBatch(benchmark::State &state)
             static_cast<double>(info.layerEntries[l]);
     }
 }
-BENCHMARK(BM_ServeBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServeBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /** `count` node pairs absent from g, drawn with a fixed seed. */
 std::vector<Edge>
@@ -499,7 +515,8 @@ BM_UpdateApply(benchmark::State &state)
     // a one-edge epoch that adds an absent edge, then (next
     // iteration) removes it again, so every apply publishes and the
     // graph never drifts. Covers the whole epoch build: graph edit,
-    // incremental islandization, scaling and A_hat.
+    // incremental islandization and scaling (an epoch holds no
+    // A_hat; batches form its entries from the graph and scaling).
     const ServeBench &b = serveBench();
     auto hub = std::make_shared<serve::GraphStateHub>(
         serve::makeGraphState(b.data.graph, LocatorConfig{}));

@@ -41,44 +41,52 @@ void scaleRows(DenseMatrix &m, const std::vector<float> &s);
 
 /**
  * Normalized adjacency A_hat = D^-1/2 (A + I) D^-1/2 as an explicit
- * weighted CSR matrix (reference path).
+ * weighted CSR matrix (reference path): with s = degreeScaling(g),
+ * entry (u, v) = s[u] * s[v] and the self loop s[u]^2 at its sorted
+ * position, once whether or not g stores it.
  */
 CsrMatrix normalizedAdjacency(const CsrGraph &g);
 
 /**
- * Rebuild a_hat as the A_hat of g under scaling s — entry (u, v) =
- * s[u] * s[v], self loop s[u]^2 at its sorted position, so it equals
- * normalizedAdjacency(g) when s = degreeScaling(g) — in place,
- * reusing its storage and dropping its cached CSC adjunct (mutating
- * the non-zero arrays of a CsrMatrix requires invalidateCsc). The
- * from-scratch build; update epochs use patchNormalizedAdjacency.
+ * Entries of row u of A_hat: degree(u) + 1, less one when g stores
+ * the self loop (it is used once).
  */
-void refreshNormalizedAdjacency(CsrMatrix &a_hat, const CsrGraph &g,
-                                const std::vector<float> &s);
+EdgeId normalizedRowEntries(const CsrGraph &g, NodeId u);
 
 /**
- * The A_hat of g under scaling s, built from `parent` — the A_hat of
- * a graph g was edited from, under that graph's scaling — by
- * recomputing only the rows that can differ and copying every other
- * row verbatim (spliceCsrRows).
+ * Row-subset pull over A_hat of g under scaling s, without
+ * materializing A_hat: output row i is row rows[i] of A_hat times B,
+ * where node v reads row b_row_of[v] of b (row v when b_row_of is
+ * empty). Every neighbour of a row the kernel reads (and the row
+ * itself) must map to a valid row of b; other entries of b_row_of
+ * are never read, so they may hold anything.
  *
- * Row u of A_hat reads g's row u, s[u] and s at u's neighbours, and
- * an edit changes adjacency and degree only at its endpoints. So
- * with `endpoints` holding every edit endpoint (in any order,
- * duplicates allowed) and s = degreeScaling(g), the changed rows are
- * the endpoints and their neighbours in g, and the result is
- * byte-equal to refreshNormalizedAdjacency(g, s): the recomputed
- * rows go through the same per-row writer. O(N + touched) plus one
- * memcpy of the untouched entries; the result's CSC cache is empty.
+ * Row u takes its terms in g.neighbors(u) order with the self term
+ * at its sorted position, each weight the one rounded product
+ * s[u] * s[v] — exactly the entries normalizedAdjacency stores — on
+ * the shared row kernel from +0.0f. So with s = degreeScaling(g) an
+ * output row is bit-identical to row rows[i] of spmmPullRowWise(
+ * normalizedAdjacency(g), B') where B' row v = b row b_row_of[v], at
+ * any IGCN_THREADS. The serving engine pulls each GCN layer on one
+ * frontier this way, and its aggregation cache substitutes skipped
+ * rows (serve/agg_cache.hpp).
  *
- * @throws std::invalid_argument when parent is not numNodes square
- * or s is not numNodes long; std::out_of_range on an endpoint >=
- * g.numNodes().
+ * Rows i with skip[i] != 0 (skip empty = none) are left exactly as
+ * the caller pre-filled them; every other row of c is overwritten.
+ * Returns the A_hat entries the pulled rows read (the sum of
+ * normalizedRowEntries over the rows not skipped).
+ *
+ * @throws std::invalid_argument when s is not numNodes long, on a
+ * column map that is not numNodes long, numNodes != b.rows() without
+ * one, a skip mask that is not rows.size() long, or c not
+ * rows.size() x b.cols(); std::out_of_range on a row >= numNodes.
  */
-CsrMatrix patchNormalizedAdjacency(const CsrMatrix &parent,
-                                   const CsrGraph &g,
-                                   const std::vector<float> &s,
-                                   std::span<const NodeId> endpoints);
+uint64_t pullNormalizedRows(const CsrGraph &g, const std::vector<float> &s,
+                            std::span<const NodeId> rows,
+                            const DenseMatrix &b,
+                            std::span<const NodeId> b_row_of,
+                            DenseMatrix &c,
+                            std::span<const uint8_t> skip = {});
 
 /** Binary adjacency with self loops, A + I (factored path). */
 CsrMatrix binaryAdjacencyWithSelfLoops(const CsrGraph &g);

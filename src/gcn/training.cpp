@@ -7,24 +7,23 @@
 
 namespace igcn {
 
-namespace {
-
-/** Elementwise mask: grad *= (pre > 0). */
 void
 reluBackwardInPlace(DenseMatrix &grad, const DenseMatrix &pre)
 {
+    if (grad.rows() != pre.rows() || grad.cols() != pre.cols())
+        throw std::invalid_argument(
+            "reluBackwardInPlace: grad and pre shapes differ");
     auto &gd = grad.data();
     const auto &pd = pre.data();
     KernelRegion region("relu_backward");
     globalPool().parallelFor(0, gd.size(),
                              [&](int, size_t lo, size_t hi) {
+        // A select, as in reluInPlace: bit-equal to
+        // `if (pre <= 0) grad = 0`, NaN pre-activations included.
         for (size_t i = lo; i < hi; ++i)
-            if (pd[i] <= 0.0f)
-                gd[i] = 0.0f;
+            gd[i] = pd[i] <= 0.0f ? 0.0f : gd[i];
     }, /*min_per_worker=*/65536);
 }
-
-} // namespace
 
 ForwardCache
 trainingForward(const CsrGraph &g, const IslandizationResult &isl,

@@ -81,6 +81,13 @@ Gradients trainingBackward(const CsrGraph &g,
                            const DenseMatrix &grad_output,
                            const RedundancyConfig &cfg = {});
 
+/**
+ * ReLU's backward mask in place: grad[i] = 0 where pre[i] <= 0 (pre
+ * is the layer's pre-activation; a NaN keeps its gradient).
+ * @throws std::invalid_argument when the shapes differ.
+ */
+void reluBackwardInPlace(DenseMatrix &grad, const DenseMatrix &pre);
+
 /** In-place SGD update: w -= lr * grad. */
 void sgdStep(std::vector<DenseMatrix> &weights,
              const Gradients &grads, float lr);

@@ -306,17 +306,13 @@ void
 spliceCsrRows(const std::vector<EdgeId> &row_ptr,
               const std::vector<NodeId> &col_idx,
               const CsrRowPatch &patch, std::vector<EdgeId> &out_ptr,
-              std::vector<NodeId> &out_idx,
-              const std::vector<float> *values,
-              std::vector<float> *out_val)
+              std::vector<NodeId> &out_idx)
 {
-    const bool carry = values != nullptr && out_val != nullptr;
     const NodeId rows = row_ptr.empty()
         ? 0
         : static_cast<NodeId>(row_ptr.size() - 1);
     if (patch.ptr.size() != patch.rows.size() + 1 ||
-        patch.ptr.front() != 0 || patch.ptr.back() != patch.idx.size() ||
-        (carry && patch.val.size() != patch.idx.size()))
+        patch.ptr.front() != 0 || patch.ptr.back() != patch.idx.size())
         throw std::invalid_argument(
             "spliceCsrRows: patch pointers do not frame its rows");
     EdgeId replaced = 0;
@@ -334,10 +330,6 @@ spliceCsrRows(const std::vector<EdgeId> &row_ptr,
     out_ptr[0] = 0;
     out_idx.clear();
     out_idx.reserve(nnz);
-    if (carry) {
-        out_val->clear();
-        out_val->reserve(nnz);
-    }
     NodeId next = 0; // first row not yet emitted
     const auto copy_rows = [&](NodeId end) {
         if (next == end)
@@ -346,9 +338,6 @@ spliceCsrRows(const std::vector<EdgeId> &row_ptr,
         const EdgeId dst = out_idx.size();
         out_idx.insert(out_idx.end(), col_idx.data() + src,
                        col_idx.data() + row_ptr[end]);
-        if (carry)
-            out_val->insert(out_val->end(), values->data() + src,
-                            values->data() + row_ptr[end]);
         for (NodeId r = next; r < end; ++r)
             out_ptr[r + 1] = row_ptr[r + 1] - src + dst;
     };
@@ -357,10 +346,6 @@ spliceCsrRows(const std::vector<EdgeId> &row_ptr,
         copy_rows(r);
         out_idx.insert(out_idx.end(), patch.idx.data() + patch.ptr[i],
                        patch.idx.data() + patch.ptr[i + 1]);
-        if (carry)
-            out_val->insert(out_val->end(),
-                            patch.val.data() + patch.ptr[i],
-                            patch.val.data() + patch.ptr[i + 1]);
         out_ptr[r + 1] = out_idx.size();
         next = r + 1;
     }

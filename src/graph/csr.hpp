@@ -137,27 +137,23 @@ void transposeCsrIndex(NodeId num_cols,
 
 /**
  * Replacement contents for some rows of a CSR index: row rows[i]
- * becomes idx[ptr[i] .. ptr[i + 1]), with val alongside when the
- * index carries a payload. rows is strictly ascending.
+ * becomes idx[ptr[i] .. ptr[i + 1]). rows is strictly ascending.
  */
 struct CsrRowPatch
 {
     std::vector<NodeId> rows;
     std::vector<EdgeId> ptr{0};
     std::vector<NodeId> idx;
-    std::vector<float> val;
 };
 
 /**
  * A CSR index (row_ptr, col_idx) with the rows of `patch` replaced:
- * fills out_ptr and out_idx (and *out_val from *values and
- * patch.val, when both value pointers are supplied). Every run of
- * untouched rows is one bulk copy, its row pointers shifted by the
- * running size change, so the cost is O(numRows) pointer writes
- * plus copies — no per-entry work. The output arrays are allocated
- * once at their final size; the output must not alias the input.
- * This is the one splice loop behind the touched-row epoch builds
- * (CsrGraph::withEditedEdges, patchNormalizedAdjacency).
+ * fills out_ptr and out_idx. Every run of untouched rows is one bulk
+ * copy, its row pointers shifted by the running size change, so the
+ * cost is O(numRows) pointer writes plus copies — no per-entry work.
+ * The output arrays are allocated once at their final size; the
+ * output must not alias the input.
+ * The touched-row graph edit (CsrGraph::withEditedEdges) runs on it.
  *
  * @throws std::invalid_argument when patch.rows is not strictly
  * ascending and below the row count, or patch.ptr does not frame it.
@@ -166,9 +162,7 @@ void spliceCsrRows(const std::vector<EdgeId> &row_ptr,
                    const std::vector<NodeId> &col_idx,
                    const CsrRowPatch &patch,
                    std::vector<EdgeId> &out_ptr,
-                   std::vector<NodeId> &out_idx,
-                   const std::vector<float> *values = nullptr,
-                   std::vector<float> *out_val = nullptr);
+                   std::vector<NodeId> &out_idx);
 
 /**
  * Immutable CSR graph. Neighbor lists are sorted by destination id

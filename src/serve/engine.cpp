@@ -6,7 +6,6 @@
 #include <string>
 
 #include "serve/agg_cache.hpp"
-#include "spmm/spmm.hpp"
 
 namespace igcn::serve {
 
@@ -18,8 +17,6 @@ makeGraphState(CsrGraph g, const LocatorConfig &cfg, uint64_t epoch)
     state->islands = islandize(g, cfg);
     state->scale = degreeScaling(g);
     state->graph = std::move(g);
-    refreshNormalizedAdjacency(state->normAdj, state->graph,
-                               state->scale);
     return state;
 }
 
@@ -101,19 +98,9 @@ constexpr NodeId kAbsent = ~NodeId{0};
 
 /** Charge one layer's pull: its unskipped rows and their entries. */
 void
-recordLayer(BatchExecInfo &info, const CsrMatrix &a_hat,
-            const std::vector<NodeId> &rows,
-            std::span<const uint8_t> skip)
+recordLayer(BatchExecInfo &info, size_t live, uint64_t entries)
 {
-    uint32_t live = 0;
-    uint64_t entries = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        if (!skip.empty() && skip[i])
-            continue;
-        live++;
-        entries += a_hat.rowPtr[rows[i] + 1] - a_hat.rowPtr[rows[i]];
-    }
-    info.layerRows.push_back(live);
+    info.layerRows.push_back(static_cast<uint32_t>(live));
     info.layerEntries.push_back(entries);
 }
 
@@ -125,11 +112,11 @@ InferenceEngine::firstLayer(const GraphState &state,
                             const std::vector<NodeId> &pos,
                             BatchExecInfo &info) const
 {
-    const CsrMatrix &a_hat = state.normAdj;
     DenseMatrix h1(rows.size(), xw0.cols());
     if (!aggCache) {
-        spmmPullRows(a_hat, rows, xw0, {}, h1);
-        recordLayer(info, a_hat, rows, {});
+        recordLayer(info, rows.size(),
+                    pullNormalizedRows(state.graph, state.scale, rows,
+                                       xw0, {}, h1));
         return h1;
     }
 
@@ -150,6 +137,7 @@ InferenceEngine::firstLayer(const GraphState &state,
         candidates.end());
 
     std::vector<uint8_t> skip(rows.size(), 0);
+    size_t skipped = 0;
     std::vector<uint32_t> missed;
     std::vector<float> buf;
     for (uint32_t id : candidates) {
@@ -168,14 +156,16 @@ InferenceEngine::firstLayer(const GraphState &state,
             const NodeId r = pos[members[i]];
             std::copy_n(buf.data() + i * hidden, hidden, h1.row(r));
             skip[r] = 1;
-            info.cacheSkippedEdges += a_hat.rowPtr[members[i] + 1] -
-                                      a_hat.rowPtr[members[i]];
+            info.cacheSkippedEdges +=
+                normalizedRowEntries(state.graph, members[i]);
         }
+        skipped += members.size();
         info.cacheHits++;
         info.cacheRows += static_cast<uint32_t>(members.size());
     }
-    spmmPullRows(a_hat, rows, xw0, {}, h1, skip);
-    recordLayer(info, a_hat, rows, skip);
+    recordLayer(info, rows.size() - skipped,
+                pullNormalizedRows(state.graph, state.scale, rows, xw0,
+                                   {}, h1, skip));
     for (uint32_t id : missed) {
         const std::span<const NodeId> members = isl.islands[id].nodes;
         std::vector<float> fill(members.size() * hidden);
@@ -244,8 +234,8 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         reluInPlace(h);
         const DenseMatrix xw = gemm(h, weights[l]);
         h = DenseMatrix(rows.size(), xw.cols());
-        spmmPullRows(state->normAdj, rows, xw, pos, h);
-        recordLayer(local_info, state->normAdj, rows, {});
+        recordLayer(local_info, rows.size(),
+                    pullNormalizedRows(g, state->scale, rows, xw, pos, h));
         index_rows(rows);
     }
 

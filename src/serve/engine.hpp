@@ -2,18 +2,19 @@
  * @file
  * Graph-state epochs and the micro-batched L-hop inference engine,
  * which aggregates each GCN layer only on the frontier of rows the
- * next layer reads, straight over the epoch's global A_hat.
+ * next layer reads, straight from the epoch's graph and degree
+ * scaling: A_hat is never materialized.
  *
  * Concurrency model (the subsystem's torn-read story): everything
- * inference reads — graph, islandization, degree scaling, the
- * global A_hat — lives in one immutable GraphState. States are
- * published through the GraphStateHub: a reader acquires a
- * shared_ptr snapshot for the duration of a batch and can never
- * observe a half-applied update; the writer builds the next epoch
- * privately and publishes it atomically. Retired epochs are
- * reclaimed when their last in-flight reader drops its snapshot
- * (shared_ptr refcount as epoch-based quiescence) — no locks are
- * held across kernel execution.
+ * inference reads — graph, islandization, degree scaling — lives in
+ * one immutable GraphState. States are published through the
+ * GraphStateHub: a reader acquires a shared_ptr snapshot for the
+ * duration of a batch and can never observe a half-applied update;
+ * the writer builds the next epoch privately and publishes it
+ * atomically. Retired epochs are reclaimed when their last
+ * in-flight reader drops its snapshot (shared_ptr refcount as
+ * epoch-based quiescence) — no locks are held across kernel
+ * execution.
  */
 
 #pragma once
@@ -38,10 +39,12 @@ struct GraphState
     uint64_t epoch = 0;
     CsrGraph graph;
     IslandizationResult islands;
-    /** degreeScaling(graph), the scaling normAdj is built with. */
+    /**
+     * degreeScaling(graph). With graph it defines A_hat (entry
+     * (u, v) = scale[u] * scale[v]); every batch pulls its frontier
+     * rows from the two (pullNormalizedRows).
+     */
     std::vector<float> scale;
-    /** Global A_hat; every batch pulls its frontier rows from it. */
-    CsrMatrix normAdj;
 
     // Epoch delta for per-island aggregation caches (AggCache).
     // States built from scratch (makeGraphState) have no parent;
@@ -134,19 +137,22 @@ struct BatchExecInfo
  * (lHopFrontiers, one BFS): with L layers, layer l (1-based) is
  * needed only within L - l hops of the targets, so it aggregates
  * exactly the rows of frontier L - l. Layer 1 pulls those rows of
- * the epoch's global A_hat against the global X W0 table, with no
- * gather and no sub-CSR; each later layer applies ReLU and gemm on
- * the previous frontier's rows and pulls its own frontier through a
- * column map into them (spmmPullRows). Only the targets' rows exist
- * at the end.
+ * A_hat against the global X W0 table, with no gather and no
+ * sub-CSR; each later layer applies ReLU and gemm on the previous
+ * frontier's rows and pulls its own frontier through a column map
+ * into them. Every pull (pullNormalizedRows) forms each A_hat entry
+ * as the product scale[u] * scale[v] from the epoch's graph and
+ * scaling, so an update epoch publishes no A_hat. Only the targets'
+ * rows exist at the end.
  *
  * Bit-identity: every row of frontier k has all its neighbours in
- * frontier k + 1, so each pulled row reads the same global A_hat
- * entries, in the same order, with the same global scaling, as the
- * whole-graph pass; spmmPullRows and gemm compute each output row on
- * its own. Served logits are therefore bit-identical to whole-graph
- * reference inference per target, for dense and CSR
- * (Features::sparse) features alike, at any IGCN_THREADS.
+ * frontier k + 1, so each pulled row takes the same A_hat entries —
+ * the same float products, in the same order, from the same global
+ * scaling — as the whole-graph pass over the stored A_hat;
+ * pullNormalizedRows and gemm compute each output row on its own.
+ * Served logits are therefore bit-identical to whole-graph reference
+ * inference per target, for dense and CSR (Features::sparse)
+ * features alike, at any IGCN_THREADS.
  *
  * runBatch is const and thread-safe: concurrent batches and a
  * concurrent update writer interact only through the hub.
@@ -186,8 +192,9 @@ class InferenceEngine
   private:
     /**
      * Layer 1 on `rows` (ascending global ids; pos[v] = position of
-     * v in rows, kAbsent elsewhere): A_hat rows against X W0, with
-     * cached islands substituted when a cache is attached.
+     * v in rows, kAbsent elsewhere): A_hat rows, pulled from the
+     * graph and scaling, against X W0, with cached islands
+     * substituted when a cache is attached.
      */
     DenseMatrix firstLayer(const GraphState &state,
                            const std::vector<NodeId> &rows,

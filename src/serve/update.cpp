@@ -101,10 +101,8 @@ UpdateApplier::apply(std::span<const Request> batch)
     next->hasParent = true;
     next->parentEpoch = cur->epoch;
     next->aggProvenance = std::move(prov.parentOf);
-    // Touched-row build: only the endpoints' degrees change, so the
-    // scaling is patched there, and A_hat recomputes the endpoint
-    // rows and their neighbours' rows, copying the rest from the
-    // current epoch. Both are byte-equal to a from-scratch build.
+    // Only the endpoints' degrees change, so the scaling is patched
+    // there; it is byte-equal to a from-scratch degreeScaling.
     std::vector<NodeId> endpoints;
     for (const auto &span : {&fresh, &stale})
         for (const auto &[u, v] : *span) {
@@ -113,8 +111,6 @@ UpdateApplier::apply(std::span<const Request> batch)
         }
     next->scale = cur->scale;
     patchDegreeScaling(next->scale, next->graph, endpoints);
-    next->normAdj = patchNormalizedAdjacency(cur->normAdj, next->graph,
-                                             next->scale, endpoints);
     res.epoch = next->epoch;
     hub->publish(std::move(next));
     return res;

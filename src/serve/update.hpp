@@ -12,13 +12,14 @@
  * *incremental* islandization repair (updateIslandization with both
  * spans: the paper's evolving-graph machinery, dissolve-on-remove
  * included; it splices the parent's flat island table, so it too
- * copies arrays rather than islands), the endpoints' degree scaling
- * (patchDegreeScaling), and the endpoint and neighbour rows of A_hat
- * (patchNormalizedAdjacency); every other row is copied — and
- * publishes it through the GraphStateHub. Retiring an epoch frees a
- * fixed handful of arrays, however many islands it holds. In-flight inference
- * batches keep their pre-update snapshots; batches formed after the
- * publish see the new epoch. Updates whose net effect is empty (duplicate or
+ * copies arrays rather than islands) and the endpoints' degree
+ * scaling (patchDegreeScaling); every other row is copied — and
+ * publishes it through the GraphStateHub. No A_hat is built: the
+ * engine forms each normalized entry from the graph and scaling as
+ * it pulls a row. Retiring an epoch frees a fixed handful of arrays,
+ * however many islands it holds. In-flight inference batches keep
+ * their pre-update snapshots; batches formed after the publish see
+ * the new epoch. Updates whose net effect is empty (duplicate or
  * already-present additions, already-absent removals, add/remove
  * pairs cancelling inside the span, self loops, out-of-range
  * endpoints) publish no epoch.

@@ -128,22 +128,12 @@ checkShapes(const CsrMatrix &a, const DenseMatrix &b)
  * +0.0f, adds the row's entries in index order and is stored once,
  * so every output element keeps its sequential chain and the result
  * is bit-identical at any thread count.
- *
- * kRowList: output row i gathers index row rows[i] (not row i), and
- * rows with skip[i] != 0 (when skip is non-null) are left untouched.
- * kColMap: entry column j reads B row col_map[j] (not row j). Both
- * only change which row is addressed, never the accumulation order,
- * so an output row is byte-equal to the same index row's output in
- * the plain <false, false> instantiation.
  */
-template <bool kRowList, bool kColMap>
 void
 gatherTiled(const std::vector<EdgeId> &ptr,
             const std::vector<NodeId> &idx,
             const std::vector<float> &val, const DenseMatrix &b,
-            DenseMatrix &c, const NodeId *rows = nullptr,
-            const NodeId *col_map = nullptr,
-            const uint8_t *skip = nullptr)
+            DenseMatrix &c)
 {
     // Attribute the region to the calling dataflow's label when one
     // is active; only bare gather calls show up as "gather_tiled".
@@ -151,22 +141,13 @@ gatherTiled(const std::vector<EdgeId> &ptr,
                                              : "gather_tiled");
     globalPool().parallelFor(0, c.rows(),
                              [&](int, size_t r0, size_t r1) {
-        for (size_t i = r0; i < r1; ++i) {
-            size_t r = i;
-            if constexpr (kRowList) {
-                if (skip && skip[i])
-                    continue;
-                r = rows[i];
-            }
+        for (size_t r = r0; r < r1; ++r) {
             const EdgeId e0 = ptr[r];
             detail::weightedRowSum(
                 b.cols(), ptr[r + 1] - e0,
                 [&](size_t t) { return val[e0 + t]; },
-                [&](size_t t) {
-                    const NodeId k = idx[e0 + t];
-                    return b.row(kColMap ? col_map[k] : k);
-                },
-                c.row(i));
+                [&](size_t t) { return b.row(idx[e0 + t]); },
+                c.row(r));
         }
     }, /*min_per_worker=*/16);
 }
@@ -206,40 +187,10 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
     // (gatherTiled), each row built in registers and stored once. Per
     // output element the edge accumulation order is unchanged, so the
     // result is bit-identical at any thread count.
-    gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
+    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c);
 
     addPullRowWiseCounters(a, channels, counters);
     return c;
-}
-
-void
-spmmPullRows(const CsrMatrix &a, std::span<const NodeId> rows,
-             const DenseMatrix &b, std::span<const NodeId> b_row_of,
-             DenseMatrix &c, std::span<const uint8_t> skip)
-{
-    if (!b_row_of.empty() && b_row_of.size() != a.numCols)
-        throw std::invalid_argument(
-            "spmmPullRows: column map size != columns");
-    if (b_row_of.empty())
-        checkShapes(a, b);
-    if (!skip.empty() && skip.size() != rows.size())
-        throw std::invalid_argument(
-            "spmmPullRows: skip size != row count");
-    if (c.rows() != rows.size() || c.cols() != b.cols())
-        throw std::invalid_argument(
-            "spmmPullRows: output shape mismatch");
-    for (NodeId r : rows)
-        if (r >= a.numRows)
-            throw std::out_of_range("spmmPullRows: row exceeds rows");
-    KernelRegion region("spmm_pull_rows");
-    const uint8_t *skip_row = skip.empty() ? nullptr : skip.data();
-    if (b_row_of.empty())
-        gatherTiled<true, false>(a.rowPtr, a.colIdx, a.values, b, c,
-                                 rows.data(), nullptr, skip_row);
-    else
-        gatherTiled<true, true>(a.rowPtr, a.colIdx, a.values, b, c,
-                                rows.data(), b_row_of.data(),
-                                skip_row);
 }
 
 DenseMatrix
@@ -345,7 +296,7 @@ spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
     // per-call CSC rebuild, and the result is bit-identical to the
     // sequential column-order scatter at any thread count. The
     // counters below still model the logical push dataflow.
-    gatherTiled<false, false>(a.rowPtr, a.colIdx, a.values, b, c);
+    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c);
 
     // Per column: one streamed read of the full B row (empty columns
     // included, as the hardware prefetches the broadcast row before
@@ -372,7 +323,7 @@ sparseTimesDense(const CsrMatrix &x, const DenseMatrix &w,
     const size_t channels = w.cols();
     DenseMatrix c(x.numRows, channels);
     KernelRegion region("sparse_times_dense");
-    gatherTiled<false, false>(x.rowPtr, x.colIdx, x.values, w, c);
+    gatherTiled(x.rowPtr, x.colIdx, x.values, w, c);
 
     // Same access profile as spmmPullRowWise, so sparse and dense
     // first layers are accounted under one model.
@@ -398,7 +349,7 @@ sparseTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
     const CscIndex &csc = x.csc();
     DenseMatrix c(x.numCols, b.cols());
     KernelRegion region("sparse_transpose_times_dense");
-    gatherTiled<false, false>(csc.colPtr, csc.rowOf, csc.valOf, b, c);
+    gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
 }
 

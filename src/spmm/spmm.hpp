@@ -10,14 +10,16 @@
  * which is accessed irregularly. Each kernel reports access counters
  * that the Table 1 benchmark turns into the paper's qualitative
  * comparison. CsrMatrix is the one float CSR type: the normalized
- * adjacency and a sparse feature matrix share it.
+ * adjacency and a sparse feature matrix share it. The serving
+ * engine's row-subset pull reads no CsrMatrix: it forms A_hat's
+ * entries from the graph and its degree scaling
+ * (pullNormalizedRows, gcn/layer.hpp) on the same row kernel.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "graph/csr.hpp"
 #include "spmm/dense.hpp"
@@ -143,32 +145,6 @@ struct SpmmCounters
  */
 DenseMatrix spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
                             SpmmCounters *counters = nullptr);
-
-/**
- * Row-subset PULL-Row-Wise: output row i accumulates row rows[i] of
- * a, where a's column j reads row b_row_of[j] of b (row j when
- * b_row_of is empty). Every entry of a row the kernel reads must map
- * to a valid row of b; entries of other rows are never read, so
- * b_row_of may hold anything there.
- *
- * Rows i with skip[i] != 0 (skip empty = none) are left exactly as
- * the caller pre-filled them; every other row of c is overwritten.
- * Entries are summed in the same order, on the same row kernel and
- * with one owner per row, as spmmPullRowWise, so an output row is
- * bit-identical to row rows[i] of spmmPullRowWise(a, B') where B'
- * row j = b row b_row_of[j], at any IGCN_THREADS. The
- * serving engine pulls each GCN layer on one frontier this way, and
- * its aggregation cache substitutes skipped rows
- * (serve/agg_cache.hpp).
- *
- * @throws std::invalid_argument on a column map that is not
- * a.numCols long, a.numCols != b.rows() without one, a skip mask
- * that is not rows.size() long, or c not rows.size() x b.cols();
- * std::out_of_range on a row >= a.numRows.
- */
-void spmmPullRows(const CsrMatrix &a, std::span<const NodeId> rows,
-                  const DenseMatrix &b, std::span<const NodeId> b_row_of,
-                  DenseMatrix &c, std::span<const uint8_t> skip = {});
 
 /**
  * PULL-Inner-Product (Figure 2-b2): output elements produced one

@@ -29,10 +29,11 @@
  *     quality (the partitions may legitimately differ in discovery
  *     order; the structure the consumer exploits may not degrade).
  *
- * The touched-row epoch build (patchDegreeScaling,
- * patchNormalizedAdjacency and the UpdateApplier that chains them)
- * is checked byte for byte against a from-scratch build of every
- * epoch on the same streams.
+ * The touched-row epoch build (withEditedEdges, patchDegreeScaling
+ * and the UpdateApplier that chains them) is checked byte for byte
+ * against a from-scratch build of every epoch on the same streams,
+ * and the serving pull over each epoch's graph and scaling
+ * (pullNormalizedRows) against the stored A_hat it replaces.
  *
  * Seed count per family comes from IGCN_FUZZ_SEEDS (default 12; CI
  * sets 50 → 200 seeds). The whole suite also runs under ASan+UBSan
@@ -45,12 +46,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "core/redundancy.hpp"
 #include "gcn/layer.hpp"
+#include "gcn/reference.hpp"
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/agg_cache.hpp"
@@ -732,46 +737,52 @@ sameBytes(const std::vector<T> &a, const std::vector<T> &b)
             std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
+/** rows x width of mixed-sign values with -0.0f and +-inf mixed in. */
+DenseMatrix
+pullOperand(size_t rows, size_t width, uint64_t seed)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(seed);
+    DenseMatrix m(rows, width);
+    for (float &x : m.data()) {
+        const uint64_t k = rng.nextBounded(16);
+        x = k == 0 ? -0.0f : k == 1 ? inf : k == 2 ? -inf
+                                        : rng.nextFloat(1.0f);
+    }
+    return m;
+}
+
 /**
- * s and a_hat are byte-equal to degreeScaling(g) and a full
- * refreshNormalizedAdjacency of g, and a_hat's CSC adjunct equals the
- * full build's.
+ * s is byte-equal to degreeScaling(g), and the serving pull over
+ * (g, s) to spmmPullRowWise over the from-scratch A_hat of g.
  */
 void
 expectFullBuild(const CsrGraph &g, const std::vector<float> &s,
-                const CsrMatrix &a_hat, const std::string &ctx)
+                const std::string &ctx)
 {
-    const std::vector<float> full_s = degreeScaling(g);
-    CsrMatrix full;
-    refreshNormalizedAdjacency(full, g, full_s);
-    ASSERT_TRUE(sameBytes(s, full_s)) << ctx << ": scale";
-    ASSERT_EQ(a_hat.numRows, full.numRows) << ctx;
-    ASSERT_EQ(a_hat.numCols, full.numCols) << ctx;
-    ASSERT_TRUE(sameBytes(a_hat.rowPtr, full.rowPtr)) << ctx << ": rowPtr";
-    ASSERT_TRUE(sameBytes(a_hat.colIdx, full.colIdx)) << ctx << ": colIdx";
-    ASSERT_TRUE(sameBytes(a_hat.values, full.values)) << ctx << ": values";
-    const CscIndex &csc = a_hat.csc();
-    const CscIndex &full_csc = full.csc();
-    ASSERT_TRUE(sameBytes(csc.colPtr, full_csc.colPtr)) << ctx;
-    ASSERT_TRUE(sameBytes(csc.rowOf, full_csc.rowOf)) << ctx;
-    ASSERT_TRUE(sameBytes(csc.valOf, full_csc.valOf)) << ctx;
+    ASSERT_TRUE(sameBytes(s, degreeScaling(g))) << ctx << ": scale";
+    const DenseMatrix b = pullOperand(g.numNodes(), 5, g.numEdges());
+    const DenseMatrix want = spmmPullRowWise(normalizedAdjacency(g), b);
+    std::vector<NodeId> rows(g.numNodes());
+    std::iota(rows.begin(), rows.end(), NodeId{0});
+    DenseMatrix got(rows.size(), b.cols());
+    pullNormalizedRows(g, s, rows, b, {}, got);
+    ASSERT_TRUE(sameBytes(got.data(), want.data())) << ctx << ": pull";
 }
 
-/** The scaling and A_hat of one epoch, as the update applier keeps them. */
+/** The graph and scaling of one epoch, as the update applier keeps them. */
 struct EpochArrays
 {
     CsrGraph graph;
     std::vector<float> scale;
-    CsrMatrix normAdj;
 
     explicit EpochArrays(CsrGraph g)
-        : graph(std::move(g)), scale(degreeScaling(graph)),
-          normAdj(normalizedAdjacency(graph))
+        : graph(std::move(g)), scale(degreeScaling(graph))
     {}
 
     /**
-     * Advance by one edit with the touched-row build (graph, scaling
-     * and A_hat each patched from this epoch's) and check the result
+     * Advance by one edit with the touched-row build (graph and
+     * scaling each patched from this epoch's) and check the result
      * against a from-scratch build.
      */
     void
@@ -779,20 +790,35 @@ struct EpochArrays
          const std::string &ctx)
     {
         CsrGraph next = graph.withEditedEdges(adds, removes);
+        std::set<Edge> arcs;
+        for (const Edge &e : graph.toEdges())
+            arcs.insert(e);
         std::vector<NodeId> endpoints;
-        for (const auto &span : {adds, removes})
+        const auto apply = [&](std::span<const Edge> span, bool add) {
             for (const auto &[u, v] : span) {
                 endpoints.push_back(u);
                 endpoints.push_back(v);
+                for (const Edge &arc : {Edge{u, v}, Edge{v, u}}) {
+                    if (add)
+                        arcs.insert(arc);
+                    else
+                        arcs.erase(arc);
+                }
             }
+        };
+        apply(adds, true);
+        apply(removes, false);
+        ASSERT_EQ(next, CsrGraph::fromEdges(
+                            graph.numNodes(),
+                            std::vector<Edge>(arcs.begin(), arcs.end()),
+                            /*symmetrize=*/false,
+                            /*keep_self_loops=*/true))
+            << ctx << ": graph";
         std::vector<float> next_scale = scale;
         patchDegreeScaling(next_scale, next, endpoints);
-        CsrMatrix next_adj =
-            patchNormalizedAdjacency(normAdj, next, next_scale, endpoints);
-        expectFullBuild(next, next_scale, next_adj, ctx);
+        expectFullBuild(next, next_scale, ctx);
         graph = std::move(next);
         scale = std::move(next_scale);
-        normAdj = std::move(next_adj);
     }
 };
 
@@ -905,13 +931,112 @@ TEST(FuzzIncremental, TouchedRowEpochsCoverBoundaryShapes)
     ASSERT_NO_FATAL_FAILURE(epoch.edit(rejoin, {}, "rejoin"));
 }
 
+/** g with `extra` isolated nodes appended after its last node. */
+CsrGraph
+withIsolatedNodes(const CsrGraph &g, NodeId extra)
+{
+    return CsrGraph::fromEdges(g.numNodes() + extra, g.toEdges(),
+                               /*symmetrize=*/false,
+                               /*keep_self_loops=*/true);
+}
+
+TEST(FuzzIncremental, NormalizedRowPullMatchesStoredAdjacency)
+{
+    // The serving pull forms each A_hat entry from the graph and its
+    // scaling; it must equal spmmPullRowWise over the stored A_hat
+    // byte for byte, on every row of every fuzz family, plain, with
+    // stored self loops and with isolated nodes (a row of the self
+    // loop alone), at widths that cross each column-block kind, with
+    // -0.0f and +-inf in B (so NaN sums are compared too), through a
+    // column map into a permuted B and past a skip mask that must
+    // leave a NaN-prefilled output row untouched.
+    const int seeds = fuzzSeedsPerFamily();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const Family &family : kFamilies) {
+        for (int seed = 0; seed < seeds; ++seed) {
+            const CsrGraph plain =
+                family.make(6000 + static_cast<uint64_t>(seed));
+            const CsrGraph variants[] = {plain, withSelfLoops(plain),
+                                         withIsolatedNodes(plain, 7)};
+            for (size_t k = 0; k < std::size(variants); ++k) {
+                const CsrGraph &g = variants[k];
+                const NodeId n = g.numNodes();
+                const std::string ctx = std::string(family.name) +
+                    " seed " + std::to_string(seed) + " variant " +
+                    std::to_string(k);
+                const std::vector<float> s = degreeScaling(g);
+                const CsrMatrix a_hat = normalizedAdjacency(g);
+                Rng rng(7 * seed + k);
+                // Every row once, shuffled, and every fourth skipped.
+                std::vector<NodeId> rows(n);
+                std::iota(rows.begin(), rows.end(), NodeId{0});
+                std::vector<NodeId> perm = rows;
+                for (size_t i = n - 1; i > 0; --i) {
+                    std::swap(rows[i], rows[rng.nextBounded(i + 1)]);
+                    std::swap(perm[i], perm[rng.nextBounded(i + 1)]);
+                }
+                std::vector<uint8_t> skip(n, 0);
+                uint64_t entries = 0;
+                for (size_t i = 0; i < n; ++i) {
+                    skip[i] = i % 4 == 0;
+                    if (!skip[i])
+                        entries += a_hat.rowPtr[rows[i] + 1] -
+                                   a_hat.rowPtr[rows[i]];
+                }
+                for (size_t width : {1, 3, 4, 16, 33}) {
+                    const DenseMatrix b =
+                        pullOperand(n, width, 31 * seed + width + k);
+                    // B' row perm[v] = B row v.
+                    DenseMatrix permuted(n, width);
+                    for (NodeId v = 0; v < n; ++v)
+                        std::copy_n(b.row(v), width,
+                                    permuted.row(perm[v]));
+                    const DenseMatrix full = spmmPullRowWise(a_hat, b);
+                    const std::vector<float> nan_row(width, nan);
+                    for (int threads : {1, 4}) {
+                        setGlobalThreads(threads);
+                        const std::string wctx = ctx + " width " +
+                            std::to_string(width) + " threads " +
+                            std::to_string(threads);
+                        DenseMatrix plain_out(n, width, nan);
+                        pullNormalizedRows(g, s, rows, b, {}, plain_out);
+                        DenseMatrix masked(n, width, nan);
+                        ASSERT_EQ(pullNormalizedRows(g, s, rows, permuted,
+                                                     perm, masked, skip),
+                                  entries)
+                            << wctx;
+                        for (size_t i = 0; i < n; ++i) {
+                            const float *want = full.row(rows[i]);
+                            ASSERT_EQ(std::memcmp(plain_out.row(i), want,
+                                                  width * sizeof(float)),
+                                      0)
+                                << wctx << " row " << rows[i];
+                            const float *masked_want =
+                                skip[i] ? nan_row.data() : want;
+                            ASSERT_EQ(std::memcmp(masked.row(i),
+                                                  masked_want,
+                                                  width * sizeof(float)),
+                                      0)
+                                << wctx << " masked row " << rows[i];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    setGlobalThreads(0);
+}
+
 TEST(FuzzIncremental, UpdateApplierPublishesFullRebuildEpochs)
 {
     // The applier end to end: every epoch it publishes for a fuzz
     // stream (one request per batch) must hold the ground-truth graph
-    // and a scaling and A_hat byte-equal to a from-scratch build of
-    // it. The islandization is repaired incrementally and is checked
-    // by the oracles above, not here.
+    // and a scaling byte-equal to a from-scratch build of it, and the
+    // logits served from it — for the edit endpoints, whose rows
+    // changed, and a few other nodes — must be byte-equal to
+    // whole-graph reference inference on that graph. The
+    // islandization is repaired incrementally and is checked by the
+    // oracles above, not here.
     const int seeds = fuzzSeedsPerFamily();
     for (const Family &family : kFamilies) {
         for (int seed = 0; seed < seeds; ++seed) {
@@ -919,6 +1044,7 @@ TEST(FuzzIncremental, UpdateApplierPublishesFullRebuildEpochs)
                 " seed " + std::to_string(seed) + " (applier)";
             const CsrGraph g0 =
                 family.make(5000 + static_cast<uint64_t>(seed));
+            const NodeId n = g0.numNodes();
             std::set<Edge> model;
             for (const auto &[u, v] : g0.toEdges())
                 if (u < v)
@@ -929,6 +1055,13 @@ TEST(FuzzIncremental, UpdateApplierPublishesFullRebuildEpochs)
             auto hub = std::make_shared<serve::GraphStateHub>(
                 serve::makeGraphState(g0, LocatorConfig{}));
             serve::UpdateApplier applier(hub);
+            Rng rng(23 * seed + 1);
+            const Features x = makeFeatures(n, 6, 1.0, rng);
+            std::vector<DenseMatrix> weights{DenseMatrix(6, 4),
+                                             DenseMatrix(4, 3)};
+            for (DenseMatrix &w : weights)
+                w.fillRandom(rng, 1.0f);
+            const serve::InferenceEngine engine(hub, x, weights);
             for (size_t b = 0; b < stream.size(); ++b) {
                 const std::string bctx =
                     ctx + " batch " + std::to_string(b);
@@ -947,12 +1080,37 @@ TEST(FuzzIncremental, UpdateApplierPublishesFullRebuildEpochs)
                 ASSERT_EQ(state->epoch, res.epoch) << bctx;
                 ASSERT_EQ(state->graph,
                           CsrGraph::fromEdges(
-                              g0.numNodes(),
-                              std::vector<Edge>(model.begin(),
-                                                model.end())))
+                              n, std::vector<Edge>(model.begin(),
+                                                   model.end())))
                     << bctx;
-                ASSERT_NO_FATAL_FAILURE(expectFullBuild(
-                    state->graph, state->scale, state->normAdj, bctx));
+                ASSERT_NO_FATAL_FAILURE(
+                    expectFullBuild(state->graph, state->scale, bctx));
+
+                std::vector<serve::Request> reads;
+                const auto read = [&](NodeId v) {
+                    serve::Request r;
+                    r.id = reads.size();
+                    r.node = v;
+                    reads.push_back(r);
+                };
+                for (const auto &span : {stream[b].adds, stream[b].removes})
+                    for (const auto &[u, v] : span) {
+                        read(u);
+                        read(v);
+                    }
+                for (int i = 0; i < 4; ++i)
+                    read(static_cast<NodeId>(rng.nextBounded(n)));
+                const DenseMatrix ref =
+                    referenceForward(state->graph, x, weights);
+                for (const serve::InferenceResult &out :
+                     engine.runBatch(reads)) {
+                    ASSERT_EQ(out.epoch, state->epoch) << bctx;
+                    ASSERT_EQ(std::memcmp(out.logits.data(),
+                                          ref.row(out.node),
+                                          ref.cols() * sizeof(float)),
+                              0)
+                        << bctx << " node " << out.node;
+                }
             }
         }
     }

@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "gcn/layer.hpp"
 #include "gcn/reference.hpp"
+#include "gcn/training.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/engine.hpp"
 #include "spmm/spmm.hpp"
 
@@ -47,39 +52,6 @@ TEST(Layer, NormalizedAdjacencyRowStochasticProperty)
     }
 }
 
-TEST(Layer, RefreshNormalizedAdjacencyIsRemovalAware)
-{
-    // The update applier's exact epoch pattern, in the shrinking
-    // direction: refresh a populated A_hat in place against a graph
-    // with *fewer* edges. Rows must shrink correctly (stale tail
-    // entries gone), the result must equal a from-scratch build, and
-    // the cached CSC adjunct must have been dropped — a stale CSC
-    // would make the push-style kernels read deleted edges.
-    CsrGraph g = erdosRenyi(120, 6.0, 21);
-    CsrMatrix a_hat = normalizedAdjacency(g);
-    (void)a_hat.csc(); // populate the adjunct cache
-
-    std::vector<Edge> removed;
-    for (const auto &[u, v] : g.toEdges())
-        if (u < v && removed.size() < 40)
-            removed.push_back({u, v});
-    CsrGraph g2 = g.withRemovedEdges(removed);
-
-    refreshNormalizedAdjacency(a_hat, g2, degreeScaling(g2));
-    CsrMatrix fresh = normalizedAdjacency(g2);
-    EXPECT_EQ(a_hat.rowPtr, fresh.rowPtr);
-    EXPECT_EQ(a_hat.colIdx, fresh.colIdx);
-    EXPECT_EQ(a_hat.values, fresh.values);
-    EXPECT_EQ(a_hat.nnz(), g2.numEdges() + g2.numNodes());
-
-    // The refreshed matrix's CSC is rebuilt from the new arrays.
-    const CscIndex &csc = a_hat.csc();
-    EXPECT_EQ(csc.rowOf.size(), a_hat.nnz());
-    EXPECT_EQ(csc.colPtr, fresh.csc().colPtr);
-    EXPECT_EQ(csc.rowOf, fresh.csc().rowOf);
-    EXPECT_EQ(csc.valOf, fresh.csc().valOf);
-}
-
 TEST(Layer, FactoredEqualsWeighted)
 {
     // S (A+I) S X == A_hat X: the identity the hardware exploits.
@@ -100,6 +72,152 @@ TEST(Layer, FactoredEqualsWeighted)
     EXPECT_LT(maxAbsDiff(z, expected), kTol);
 }
 
+bool
+rowsBitEqual(const float *a, const float *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(Layer, PullNormalizedRowsBitEqualsPullRowWiseRows)
+{
+    // pullNormalizedRows must reproduce spmmPullRowWise's rows over
+    // the stored A_hat byte for byte: on an arbitrary row list
+    // (unsorted, duplicates), through a column map into a permuted
+    // B, and with a skip mask that leaves pre-filled rows untouched.
+    // 3 channels run on the scalar column tail alone; 70 = 32 + 32 +
+    // 4 + 2 crosses every block kind.
+    const CsrGraph g = erdosRenyi(300, 6.0, 21);
+    const std::vector<float> s = degreeScaling(g);
+    const CsrMatrix a = normalizedAdjacency(g);
+    Rng rng(9);
+    std::vector<NodeId> rows;
+    for (int i = 0; i < 90; ++i)
+        rows.push_back(static_cast<NodeId>(rng.nextBounded(a.numRows)));
+    rows.push_back(rows.front());
+
+    // B' row perm[j] = B row j, so column j reads B' row perm[j].
+    std::vector<NodeId> perm(a.numCols);
+    std::iota(perm.begin(), perm.end(), NodeId{0});
+    for (size_t i = perm.size() - 1; i > 0; --i)
+        std::swap(perm[i], perm[rng.nextBounded(i + 1)]);
+
+    std::vector<uint8_t> skip(rows.size(), 0);
+    uint64_t all_entries = 0, live_entries = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const uint64_t row_nnz =
+            a.rowPtr[rows[i] + 1] - a.rowPtr[rows[i]];
+        ASSERT_EQ(normalizedRowEntries(g, rows[i]), row_nnz);
+        all_entries += row_nnz;
+        if (i % 3 == 0)
+            skip[i] = 1;
+        else
+            live_entries += row_nnz;
+    }
+
+    for (size_t width : {size_t{3}, size_t{70}}) {
+        DenseMatrix b(a.numCols, width);
+        b.fillRandom(rng, 1.0f);
+        DenseMatrix permuted(a.numCols, b.cols());
+        for (NodeId j = 0; j < a.numCols; ++j)
+            std::copy_n(b.row(j), b.cols(), permuted.row(perm[j]));
+
+        for (int threads : {1, 4}) {
+            setGlobalThreads(threads);
+            const std::string ctx = " width " + std::to_string(width) +
+                " threads " + std::to_string(threads);
+            const DenseMatrix full = spmmPullRowWise(a, b);
+
+            DenseMatrix c(rows.size(), b.cols());
+            EXPECT_EQ(pullNormalizedRows(g, s, rows, b, {}, c),
+                      all_entries) << ctx;
+            // Rows that are not skipped are overwritten: stale NaNs
+            // in the output must not reach the result.
+            DenseMatrix mapped(rows.size(), b.cols(),
+                               std::numeric_limits<float>::quiet_NaN());
+            pullNormalizedRows(g, s, rows, permuted, perm, mapped);
+            DenseMatrix masked(rows.size(), b.cols());
+            for (size_t i = 0; i < rows.size(); ++i)
+                if (skip[i])
+                    std::fill_n(masked.row(i), b.cols(), 7.0f);
+            EXPECT_EQ(pullNormalizedRows(g, s, rows, permuted, perm,
+                                         masked, skip),
+                      live_entries) << ctx;
+
+            for (size_t i = 0; i < rows.size(); ++i) {
+                const float *want = full.row(rows[i]);
+                EXPECT_TRUE(rowsBitEqual(c.row(i), want, b.cols()))
+                    << "row " << i << ctx;
+                EXPECT_TRUE(rowsBitEqual(mapped.row(i), want, b.cols()))
+                    << "mapped row " << i << ctx;
+                if (skip[i]) {
+                    for (size_t ch = 0; ch < b.cols(); ++ch)
+                        ASSERT_EQ(masked.at(i, ch), 7.0f) << ctx;
+                } else {
+                    EXPECT_TRUE(
+                        rowsBitEqual(masked.row(i), want, b.cols()))
+                        << "masked row " << i << ctx;
+                }
+            }
+        }
+    }
+    setGlobalThreads(0);
+}
+
+TEST(Layer, PullNormalizedRowsRejectsBadShapes)
+{
+    const CsrGraph g = pathGraph(4);
+    const std::vector<float> s = degreeScaling(g);
+    DenseMatrix b(4, 3);
+    const std::vector<NodeId> rows{0, 2};
+    DenseMatrix c(2, 3);
+    EXPECT_NO_THROW(pullNormalizedRows(g, s, rows, b, {}, c));
+    const std::vector<float> short_s{1.0f, 1.0f, 1.0f};
+    EXPECT_THROW(pullNormalizedRows(g, short_s, rows, b, {}, c),
+                 std::invalid_argument);
+    DenseMatrix short_b(3, 3);
+    EXPECT_THROW(pullNormalizedRows(g, s, rows, short_b, {}, c),
+                 std::invalid_argument);
+    const std::vector<NodeId> short_map{0, 1, 2};
+    EXPECT_THROW(pullNormalizedRows(g, s, rows, b, short_map, c),
+                 std::invalid_argument);
+    const std::vector<uint8_t> short_skip{0};
+    EXPECT_THROW(pullNormalizedRows(g, s, rows, b, {}, c, short_skip),
+                 std::invalid_argument);
+    DenseMatrix wrong_c(3, 3);
+    EXPECT_THROW(pullNormalizedRows(g, s, rows, b, {}, wrong_c),
+                 std::invalid_argument);
+    const std::vector<NodeId> past_end{0, 4};
+    EXPECT_THROW(pullNormalizedRows(g, s, past_end, b, {}, c),
+                 std::out_of_range);
+}
+
+/**
+ * rows x width of mixed-sign values with about one entry in four a
+ * special one: NaN of either sign, +-0.0f or +-inf.
+ */
+DenseMatrix
+reluInputs(size_t rows, size_t width, uint64_t seed)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float special[] = {nan, -nan, 0.0f, -0.0f, inf, -inf};
+    Rng rng(seed);
+    DenseMatrix m(rows, width);
+    for (float &x : m.data()) {
+        const uint64_t k = rng.nextBounded(24);
+        x = k < 6 ? special[k] : rng.nextFloat(2.0f);
+    }
+    return m;
+}
+
+bool
+sameBytes(const DenseMatrix &a, const std::vector<float> &b)
+{
+    return a.data().size() == b.size() &&
+           std::memcmp(a.data().data(), b.data(),
+                       b.size() * sizeof(float)) == 0;
+}
+
 TEST(Layer, ReluClamps)
 {
     DenseMatrix m(1, 4);
@@ -111,6 +229,51 @@ TEST(Layer, ReluClamps)
     EXPECT_FLOAT_EQ(m.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(m.at(0, 1), 2.0f);
     EXPECT_FLOAT_EQ(m.at(0, 3), 0.0f);
+
+    // Byte-equal to the scalar `if (x < 0) x = 0` on NaN (either
+    // sign, kept), -0.0f (kept), +-inf and every width 1-33; 8192
+    // rows put the wider matrices on several workers.
+    for (size_t width = 1; width <= 33; ++width) {
+        const DenseMatrix in = reluInputs(8192, width, 100 + width);
+        std::vector<float> want = in.data();
+        for (float &x : want)
+            if (x < 0.0f)
+                x = 0.0f;
+        for (int threads : {1, 4}) {
+            setGlobalThreads(threads);
+            DenseMatrix got = in;
+            reluInPlace(got);
+            EXPECT_TRUE(sameBytes(got, want))
+                << "width " << width << " threads " << threads;
+        }
+    }
+    setGlobalThreads(0);
+}
+
+TEST(Layer, ReluBackwardMasks)
+{
+    // Byte-equal to the scalar `if (pre <= 0) grad = 0`: a NaN
+    // pre-activation keeps its gradient, +-0.0f zeroes it, and NaN,
+    // -0.0f and +-inf gradients pass through where pre > 0.
+    for (size_t width = 1; width <= 33; ++width) {
+        const DenseMatrix grad = reluInputs(8192, width, 200 + width);
+        const DenseMatrix pre = reluInputs(8192, width, 300 + width);
+        std::vector<float> want = grad.data();
+        for (size_t i = 0; i < want.size(); ++i)
+            if (pre.data()[i] <= 0.0f)
+                want[i] = 0.0f;
+        for (int threads : {1, 4}) {
+            setGlobalThreads(threads);
+            DenseMatrix got = grad;
+            reluBackwardInPlace(got, pre);
+            EXPECT_TRUE(sameBytes(got, want))
+                << "width " << width << " threads " << threads;
+        }
+    }
+    setGlobalThreads(0);
+    DenseMatrix grad(2, 3);
+    EXPECT_THROW(reluBackwardInPlace(grad, DenseMatrix(3, 2)),
+                 std::invalid_argument);
 }
 
 TEST(Models, ConfigurationsMatchPaper)

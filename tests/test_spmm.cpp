@@ -7,13 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <limits>
-#include <numeric>
-#include <string>
-
 #include "graph/generators.hpp"
-#include "runtime/thread_pool.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn {
@@ -171,107 +165,6 @@ TEST(Spmm, ShapeMismatchThrows)
     CsrMatrix a = CsrMatrix::fromGraph(pathGraph(4));
     DenseMatrix b(5, 3);
     EXPECT_THROW(spmmPullRowWise(a, b, nullptr), std::invalid_argument);
-}
-
-bool
-rowsBitEqual(const float *a, const float *b, size_t n)
-{
-    return std::memcmp(a, b, n * sizeof(float)) == 0;
-}
-
-TEST(Spmm, PullRowsBitEqualsPullRowWiseRows)
-{
-    // spmmPullRows must reproduce spmmPullRowWise's rows byte for
-    // byte: on an arbitrary row list (unsorted, duplicates), through a
-    // column map into a permuted B, and with a skip mask that leaves
-    // pre-filled rows untouched. 3 channels run on the scalar column
-    // tail alone; 70 = 32 + 32 + 4 + 2 crosses every block kind.
-    CsrMatrix a = CsrMatrix::fromGraph(erdosRenyi(300, 6.0, 21));
-    Rng rng(9);
-    for (float &v : a.values)
-        v = rng.nextFloat();
-    std::vector<NodeId> rows;
-    for (int i = 0; i < 90; ++i)
-        rows.push_back(static_cast<NodeId>(rng.nextBounded(a.numRows)));
-    rows.push_back(rows.front());
-
-    // B' row perm[j] = B row j, so column j reads B' row perm[j].
-    std::vector<NodeId> perm(a.numCols);
-    std::iota(perm.begin(), perm.end(), NodeId{0});
-    for (size_t i = perm.size() - 1; i > 0; --i)
-        std::swap(perm[i], perm[rng.nextBounded(i + 1)]);
-
-    std::vector<uint8_t> skip(rows.size(), 0);
-    for (size_t i = 0; i < skip.size(); i += 3)
-        skip[i] = 1;
-
-    for (size_t width : {size_t{3}, size_t{70}}) {
-        DenseMatrix b(a.numCols, width);
-        b.fillRandom(rng, 1.0f);
-        DenseMatrix permuted(a.numCols, b.cols());
-        for (NodeId j = 0; j < a.numCols; ++j)
-            std::copy_n(b.row(j), b.cols(), permuted.row(perm[j]));
-
-        for (int threads : {1, 4}) {
-            setGlobalThreads(threads);
-            const std::string ctx = " width " + std::to_string(width) +
-                " threads " + std::to_string(threads);
-            const DenseMatrix full = spmmPullRowWise(a, b);
-
-            DenseMatrix c(rows.size(), b.cols());
-            spmmPullRows(a, rows, b, {}, c);
-            // Rows that are not skipped are overwritten: stale NaNs
-            // in the output must not reach the result.
-            DenseMatrix mapped(rows.size(), b.cols(),
-                               std::numeric_limits<float>::quiet_NaN());
-            spmmPullRows(a, rows, permuted, perm, mapped);
-            DenseMatrix masked(rows.size(), b.cols());
-            for (size_t i = 0; i < rows.size(); ++i)
-                if (skip[i])
-                    std::fill_n(masked.row(i), b.cols(), 7.0f);
-            spmmPullRows(a, rows, permuted, perm, masked, skip);
-
-            for (size_t i = 0; i < rows.size(); ++i) {
-                const float *want = full.row(rows[i]);
-                EXPECT_TRUE(rowsBitEqual(c.row(i), want, b.cols()))
-                    << "row " << i << ctx;
-                EXPECT_TRUE(rowsBitEqual(mapped.row(i), want, b.cols()))
-                    << "mapped row " << i << ctx;
-                if (skip[i]) {
-                    for (size_t ch = 0; ch < b.cols(); ++ch)
-                        ASSERT_EQ(masked.at(i, ch), 7.0f) << ctx;
-                } else {
-                    EXPECT_TRUE(
-                        rowsBitEqual(masked.row(i), want, b.cols()))
-                        << "masked row " << i << ctx;
-                }
-            }
-        }
-    }
-    setGlobalThreads(0);
-}
-
-TEST(Spmm, PullRowsRejectsBadShapes)
-{
-    CsrMatrix a = CsrMatrix::fromGraph(pathGraph(4));
-    DenseMatrix b(4, 3);
-    const std::vector<NodeId> rows{0, 2};
-    DenseMatrix c(2, 3);
-    EXPECT_NO_THROW(spmmPullRows(a, rows, b, {}, c));
-    DenseMatrix short_b(3, 3);
-    EXPECT_THROW(spmmPullRows(a, rows, short_b, {}, c),
-                 std::invalid_argument);
-    const std::vector<NodeId> short_map{0, 1, 2};
-    EXPECT_THROW(spmmPullRows(a, rows, b, short_map, c),
-                 std::invalid_argument);
-    const std::vector<uint8_t> short_skip{0};
-    EXPECT_THROW(spmmPullRows(a, rows, b, {}, c, short_skip),
-                 std::invalid_argument);
-    DenseMatrix wrong_c(3, 3);
-    EXPECT_THROW(spmmPullRows(a, rows, b, {}, wrong_c),
-                 std::invalid_argument);
-    const std::vector<NodeId> past_end{0, 4};
-    EXPECT_THROW(spmmPullRows(a, past_end, b, {}, c), std::out_of_range);
 }
 
 TEST(Spmm, DenseToCsrRoundTrip)
